@@ -188,12 +188,22 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 	for j := range specs {
 		specs[j] = rths.DefaultHelperSpec()
 	}
+	cfg := rths.DistsimConfig{
+		Channels: []rths.DistsimChannelConfig{{Name: "bench", Seed: 1, InitialPeers: 10}},
+		Helpers:  specs,
+		Assign:   make([]int, len(specs)),
+	}
 	for i := 0; i < b.N; i++ {
-		rt, err := rths.NewDistributed(rths.DistributedConfig{NumPeers: 10, Helpers: specs, Seed: 1})
+		rt, err := rths.NewDistsim(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Run(500, nil); err != nil {
+		for r := 0; r < 500; r++ {
+			if _, err := rt.StepRound(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := rt.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

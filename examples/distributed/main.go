@@ -23,29 +23,33 @@ func main() {
 	for j := range specs {
 		specs[j] = rths.DefaultHelperSpec()
 	}
-	rt, err := rths.NewDistributed(rths.DistributedConfig{
-		NumPeers: peers,
+	// One channel owning every helper (Assign is all zeros).
+	rt, err := rths.NewDistsim(rths.DistsimConfig{
+		Channels: []rths.DistsimChannelConfig{{Name: "live", Seed: 2024, InitialPeers: peers}},
 		Helpers:  specs,
-		Seed:     2024,
+		Assign:   make([]int, helpers),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Close()
 
 	var tailWelfare, tailOptimum float64
-	err = rt.Run(epochs, func(s rths.EpochStats) {
-		if (s.Epoch+1)%500 == 0 {
-			fmt.Printf("epoch %4d  welfare %6.1f kbps  loads %v\n", s.Epoch+1, s.Welfare, s.Loads)
+	for e := 0; e < epochs; e++ {
+		stats, err := rt.StepRound()
+		if err != nil {
+			log.Fatal(err)
 		}
-		if s.Epoch >= epochs/2 {
-			tailWelfare += s.Welfare
-			for _, c := range s.Capacities {
+		ch := &stats.Channels[0]
+		if (e+1)%500 == 0 {
+			fmt.Printf("epoch %4d  welfare %6.1f kbps  loads %v\n", e+1, ch.Welfare, ch.Loads)
+		}
+		if e >= epochs/2 {
+			tailWelfare += ch.Welfare
+			for _, c := range ch.Capacities {
 				tailOptimum += c
 			}
 		}
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("\n%d peers on a manager node + %d helper nodes, %d epochs, O(helpers) messages/round\n",
 		peers, helpers, epochs)

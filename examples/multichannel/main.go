@@ -12,13 +12,6 @@ import (
 )
 
 func main() {
-	mk := func(n int) []rths.HelperSpec {
-		hs := make([]rths.HelperSpec, n)
-		for j := range hs {
-			hs[j] = rths.DefaultHelperSpec()
-		}
-		return hs
-	}
 	// Popular channels get bigger audiences (Zipf); the helper-level
 	// allocator (the paper's §V extension) splits an 11-helper pool by
 	// aggregate demand before peer-level RTHS runs inside each channel.
@@ -38,16 +31,29 @@ func main() {
 	}
 	fmt.Printf("helper pool split by demand: %v\n\n", counts)
 
-	channels := make([]rths.ChannelConfig, 3)
+	// Each channel keeps the helpers it was given: an explicit initial
+	// assignment pinned by the static allocator, so no helper migrates.
+	channels := make([]rths.ClusterChannelSpec, 3)
+	var pool []rths.HelperSpec
+	var assign []int
 	for c := range channels {
-		channels[c] = rths.ChannelConfig{
+		channels[c] = rths.ClusterChannelSpec{
 			Name:         names[c],
 			Bitrate:      bitrates[c],
-			Helpers:      mk(counts[c]),
 			InitialPeers: audiences[c],
 		}
+		for j := 0; j < counts[c]; j++ {
+			pool = append(pool, rths.DefaultHelperSpec())
+			assign = append(assign, c)
+		}
 	}
-	multi, err := rths.NewMultiChannel(rths.MultiChannelConfig{Channels: channels, Seed: 7})
+	multi, err := rths.NewCluster(rths.ClusterConfig{
+		Channels:      channels,
+		Helpers:       pool,
+		InitialAssign: assign,
+		Allocator:     rths.ClusterAllocStatic,
+		Seed:          7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,33 +64,29 @@ func main() {
 
 	const stages = 3000
 	type channelAgg struct{ welfare, optimum float64 }
-	agg := map[string]*channelAgg{}
+	agg := make([]channelAgg, len(names))
 	for s := 0; s < stages; s++ {
-		res, err := multi.Step()
+		tot, err := multi.StepStage()
 		if err != nil {
 			log.Fatal(err)
 		}
 		// The origin tops up every channel's unmet demand.
-		if _, err := server.ServeStage([]float64{res.TotalServerLoad}); err != nil {
+		if _, err := server.ServeStage([]float64{tot.ServerLoad}); err != nil {
 			log.Fatal(err)
 		}
 		if s < stages/2 {
 			continue
 		}
-		for _, ch := range res.Channels {
-			a := agg[ch.Name]
-			if a == nil {
-				a = &channelAgg{}
-				agg[ch.Name] = a
-			}
-			a.welfare += ch.Result.Welfare
-			a.optimum += ch.Result.OptWelfare
+		for c := range names {
+			res := multi.ChannelStageResult(c)
+			agg[c].welfare += res.Welfare
+			agg[c].optimum += res.OptWelfare
 		}
 	}
 
 	fmt.Println("channel            welfare/optimum")
-	for _, name := range names {
-		a := agg[name]
+	for c, name := range names {
+		a := agg[c]
 		fmt.Printf("%-18s %.1f%%\n", name, 100*a.welfare/a.optimum)
 	}
 	fmt.Printf("\norigin server: mean load %.1f kbps, saturated %.1f%% of stages\n",

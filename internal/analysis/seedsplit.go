@@ -11,7 +11,8 @@ import (
 // blessed derivation point. Additive derivation produces correlated
 // streams (channel i seeded seed+i overlaps channel i+1's stream
 // seeded seed+i+1 shifted by one draw) and broke cross-channel
-// independence once already (the PR 4 overlay bug). Derive child
+// independence once already (two multi-channel runs whose seeds differed
+// by the derivation constant shared channel streams). Derive child
 // streams with xrand.Split, which mixes the parent state through
 // SplitMix64 instead.
 var SeedSplit = &Analyzer{

@@ -105,6 +105,68 @@ func TestChurnOpsGlobalIDs(t *testing.T) {
 	}
 }
 
+// TestApplyUnknownEvent checks that Apply rejects a trace event kind it
+// does not know, on both backends.
+func TestApplyUnknownEvent(t *testing.T) {
+	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+		cfg := frozenPoolsConfig(29)
+		cfg.Backend = backend
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Apply(trace.Event{Kind: trace.EventKind(99)}); err == nil {
+			t.Fatalf("backend %v: unknown event kind accepted", backend)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLeaveReindexesCorrectly removes a viewer from the middle of a
+// channel, checks that the remaining ids still resolve by leaving them all,
+// and then steps the emptied channel on both backends.
+func TestLeaveReindexesCorrectly(t *testing.T) {
+	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+		cfg := frozenPoolsConfig(17)
+		cfg.Backend = backend
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := append([]int(nil), c.ChannelPeerIDs(0)...)
+		if len(ids) != 5 {
+			t.Fatalf("backend %v: channel 0 ids %v", backend, ids)
+		}
+		mid := len(ids) / 2
+		if err := c.Leave(ids[mid]); err != nil {
+			t.Fatalf("backend %v: %v", backend, err)
+		}
+		for i, id := range ids {
+			if i == mid {
+				continue
+			}
+			if err := c.Leave(id); err != nil {
+				t.Fatalf("backend %v: leave %d after reindex: %v", backend, id, err)
+			}
+		}
+		if c.ChannelAudience(0) != 0 || c.ActivePeers() != 5 {
+			t.Fatalf("backend %v: audience %d, active %d", backend, c.ChannelAudience(0), c.ActivePeers())
+		}
+		// The emptied channel still steps.
+		if _, err := c.StepStage(); err != nil {
+			t.Fatalf("backend %v: emptied channel: %v", backend, err)
+		}
+		if len(c.ChannelStageResult(0).Actions) != 0 {
+			t.Fatalf("backend %v: emptied channel has actions %v", backend, c.ChannelStageResult(0).Actions)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestJoinLeaveSameStage pins the same-stage join+leave edge on both
 // backends: the pair must cancel out before the next step — on distsim both
 // ops sit in the same round's queue and apply in order.

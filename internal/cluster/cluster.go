@@ -149,9 +149,9 @@ type Config struct {
 	// InitialAssign, when non-nil, overrides the allocator's initial
 	// helper→channel assignment: InitialAssign[h] is helper h's starting
 	// channel. It must cover every channel with at least one helper.
-	// Combined with AllocStatic this freezes dedicated per-channel pools —
-	// the configuration the overlay compatibility wrapper runs on; with an
-	// adaptive allocator it merely seeds the first epoch's assignment.
+	// Combined with AllocStatic this freezes dedicated per-channel pools
+	// (examples/multichannel runs this way); with an adaptive allocator it
+	// merely seeds the first epoch's assignment.
 	InitialAssign []int
 	// Allocator picks the re-allocation policy (default AllocGreedy).
 	Allocator AllocatorKind
@@ -743,12 +743,6 @@ func (c *Cluster) ChannelAudience(ci int) int { return len(c.channels[ci].peerID
 
 // ChannelPool returns the number of helpers currently assigned to channel ci.
 func (c *Cluster) ChannelPool(ci int) int { return len(c.channels[ci].helperIDs) }
-
-// ChannelName returns channel ci's configured name.
-func (c *Cluster) ChannelName(ci int) string { return c.channels[ci].name }
-
-// ChannelBitrate returns channel ci's media bitrate (kbps).
-func (c *Cluster) ChannelBitrate(ci int) float64 { return c.channels[ci].bitrate }
 
 // ChannelPeerIDs returns the global viewer ids watching channel ci,
 // parallel to the channel's local peer indices. The slice aliases director

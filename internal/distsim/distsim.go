@@ -2,7 +2,7 @@
 // multi-channel helper-selection deployment — many channels, one shared
 // helper pool, helper re-allocation epochs — as communicating nodes, while
 // keeping the per-round message count at O(helpers + channels) instead of
-// the O(peers) the first-generation runtime (internal/netsim) paid.
+// the O(peers) a runtime with one goroutine per peer would pay.
 //
 // # Node roles
 //

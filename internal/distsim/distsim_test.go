@@ -72,8 +72,7 @@ func TestNewValidation(t *testing.T) {
 
 // TestRoundInvariants drives the protocol and checks the per-round channel
 // views: loads conserve peers, rates equal C_j/load_j, and welfare equals
-// the occupied capacity — the same invariants netsim pinned, now per
-// channel.
+// the occupied capacity, per channel.
 func TestRoundInvariants(t *testing.T) {
 	rt, err := New(fourChannelConfig(42))
 	if err != nil {
@@ -508,3 +507,27 @@ func TestPluggablePolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidPolicyActionSurfaces checks that a policy returning an action
+// outside its action set comes back as an error from StepRound.
+func TestInvalidPolicyActionSurfaces(t *testing.T) {
+	cfg := fourChannelConfig(3)
+	cfg.Factory = func(_, m int, _ float64) (core.Selector, error) {
+		return rogueSelector{m: m}, nil
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if _, err := rt.StepRound(); err == nil {
+		t.Fatal("out-of-range policy action not surfaced")
+	}
+}
+
+// rogueSelector picks an action outside its action set.
+type rogueSelector struct{ m int }
+
+func (r rogueSelector) Select(*xrand.Rand) int                   { return 99 }
+func (r rogueSelector) Update(action int, utility float64) error { return nil }
+func (r rogueSelector) NumActions() int                          { return r.m }

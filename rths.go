@@ -25,8 +25,9 @@
 //
 // Reproduction entry points for the paper's figures live behind Scenario
 // (see SmallScale and LargeScale) and the Fig1..Fig5 runners; the
-// comparison baselines and ablations are exposed through the same surface.
-// Everything is deterministic given Seed.
+// multi-channel runtime is Cluster (shared memory or message passing) and
+// the raw message-passing runtime is NewDistsim. Everything is
+// deterministic given Seed.
 package rths
 
 import (
@@ -38,8 +39,6 @@ import (
 	"rths/internal/distsim"
 	"rths/internal/experiment"
 	"rths/internal/metrics"
-	"rths/internal/netsim"
-	"rths/internal/overlay"
 	"rths/internal/regret"
 	"rths/internal/streaming"
 	"rths/internal/telemetry"
@@ -88,27 +87,8 @@ type (
 	Table = experiment.Table
 )
 
-// Multi-channel and distributed-runtime types.
+// Distributed-runtime, workload and support types.
 type (
-	// MultiChannelConfig configures a multi-channel overlay.
-	MultiChannelConfig = overlay.Config
-	// ChannelConfig describes one live channel.
-	ChannelConfig = overlay.ChannelConfig
-	// MultiChannel is a running multi-channel system — a compatibility
-	// wrapper over the cluster runtime with frozen per-channel helper
-	// pools (use NewCluster directly for shared pools and re-allocation).
-	MultiChannel = overlay.Multi
-	// MultiChannelResult aggregates one stage across channels.
-	MultiChannelResult = overlay.StepResult
-	// ChannelResult is one channel's view of a completed stage.
-	ChannelResult = overlay.ChannelResult
-	// DistributedConfig configures the single-channel distributed run
-	// (a compatibility surface over the batched distsim runtime).
-	DistributedConfig = netsim.Config
-	// Distributed is the single-channel message-passing runtime.
-	Distributed = netsim.Runtime
-	// EpochStats is the distributed runtime's per-epoch aggregate.
-	EpochStats = netsim.EpochStats
 	// DistsimConfig configures the batched multi-channel message-passing
 	// runtime (channel-manager nodes, per-helper inboxes, migration as
 	// control messages).
@@ -133,16 +113,12 @@ type (
 	FaultPartition = distsim.Partition
 	// ChannelDemand is one channel's aggregate demand for helper allocation.
 	ChannelDemand = alloc.Channel
-	// MultiChannelTotals is the overlay's allocation-free aggregate view.
-	MultiChannelTotals = overlay.Totals
 	// ChurnConfig parameterizes workload generation.
 	ChurnConfig = trace.ChurnConfig
 	// Workload is a replayable churn trace.
 	Workload = trace.Workload
 	// Server is the origin server absorbing unmet demand.
 	Server = streaming.Server
-	// Buffer is a peer's playout buffer.
-	Buffer = streaming.Buffer
 	// RegretAudit computes clairvoyant regrets from the global view.
 	RegretAudit = metrics.RegretAudit
 	// Rand is the deterministic random stream that drives all sampling
@@ -269,9 +245,6 @@ func NewLossyLink(dropProb, delayProb float64, maxDelay int) (LossyLink, error) 
 	return distsim.NewLossy(dropProb, delayProb, maxDelay)
 }
 
-// NewMultiChannel builds a multi-channel overlay system.
-func NewMultiChannel(cfg MultiChannelConfig) (*MultiChannel, error) { return overlay.New(cfg) }
-
 // NewCluster builds the sharded multi-channel cluster runtime.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
@@ -319,19 +292,6 @@ func ClusterFaults() ClusterScenario { return experiment.ClusterFaults() }
 // (see SystemConfig.ViewRefresh).
 const DefaultViewRefresh = core.DefaultViewRefresh
 
-// NewDistributed builds the single-channel message-passing runtime (the
-// compatibility surface over the batched distsim runtime: one channel
-// manager hosting the peers, one node per helper, O(helpers) messages per
-// round).
-func NewDistributed(cfg DistributedConfig) (*Distributed, error) { return netsim.New(cfg) }
-
-// AllocateHelpers assigns a helper pool to channels greedily by largest
-// remaining deficit (the paper's §V future work: helper-level bandwidth
-// allocation above peer-level selection). It returns helper -> channel.
-func AllocateHelpers(channels []ChannelDemand, capacities []float64) ([]int, error) {
-	return alloc.Greedy(channels, capacities)
-}
-
 // SplitHelperPool returns per-channel helper counts proportional to the
 // channels' demands (largest-remainder rounding).
 func SplitHelperPool(channels []ChannelDemand, poolSize int) ([]int, error) {
@@ -343,12 +303,6 @@ func GenerateChurn(cfg ChurnConfig) (*Workload, error) { return trace.GenerateCh
 
 // NewServer builds an origin server with the given capacity (kbps).
 func NewServer(capacity float64) (*Server, error) { return streaming.NewServer(capacity) }
-
-// NewBuffer builds a playout buffer for the given bitrate and startup
-// threshold (stages of media).
-func NewBuffer(bitrate, startupStages float64) (*Buffer, error) {
-	return streaming.NewBuffer(bitrate, startupStages)
-}
 
 // NewRand returns a deterministic random stream for standalone learners.
 func NewRand(seed uint64) *Rand { return xrand.New(seed) }
@@ -380,16 +334,4 @@ var (
 	Fig4 = experiment.Fig4
 	// Fig5 reproduces the server-load-vs-deficit comparison.
 	Fig5 = experiment.Fig5
-)
-
-// Ablation runners (design-choice experiments from DESIGN.md).
-var (
-	// AblationPolicies compares RTHS with the baseline policies (A1).
-	AblationPolicies = experiment.AblationPolicies
-	// AblationShift measures adaptation to a capacity swap (A2).
-	AblationShift = experiment.AblationShift
-	// AblationSweep grids over (ε, δ, μ) (A3).
-	AblationSweep = experiment.AblationSweep
-	// AblationRecursion compares decayed vs literal eq. 3-5 updates (A4).
-	AblationRecursion = experiment.AblationRecursion
 )
