@@ -41,9 +41,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rths/internal/alloc"
@@ -312,7 +314,14 @@ type EpochMetrics struct {
 	MeanTimeToRecover float64 `json:"mean_time_to_recover"`
 }
 
-type location struct {
+// viewer is one active viewer's location record: its global id, its
+// channel and its local index there (parallel to the backend's peer
+// indices). byPeer, the channel member lists and the id-ordered zapping
+// list all point at the same record, so when a viewer leaves a channel
+// the later members' local indices are rewritten in a plain loop, with no
+// map write per shifted viewer.
+type viewer struct {
+	id      int
 	channel int
 	local   int
 }
@@ -397,8 +406,8 @@ type backend interface {
 type channel struct {
 	name      string
 	bitrate   float64
-	peerIDs   []int // global viewer ids, parallel to backend peer indices
-	helperIDs []int // global helper ids, parallel to backend pool indices
+	members   []*viewer // viewer records, parallel to backend peer indices
+	helperIDs []int     // global helper ids, parallel to backend pool indices
 }
 
 // Cluster is a running multi-channel system.
@@ -406,13 +415,13 @@ type Cluster struct {
 	channels []*channel
 	helpers  []globalHelper
 	assign   alloc.Assignment // helper -> channel
-	byPeer   map[int]location
+	byPeer   map[int]*viewer
 
 	backend backend
 
-	// viewerIDs lists active viewers in ascending global id — the
-	// deterministic iteration order of the switching pass.
-	viewerIDs []int
+	// viewers lists the active viewers' records in ascending global id —
+	// the deterministic iteration order of the switching pass.
+	viewers []*viewer
 
 	allocator   AllocatorKind
 	epochStages int
@@ -546,7 +555,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		byPeer:      make(map[int]location),
 		allocator:   cfg.Allocator,
 		epochStages: cfg.EpochStages,
 		hysteresis:  cfg.Hysteresis,
@@ -627,9 +635,16 @@ func New(cfg Config) (*Cluster, error) {
 	master := xrand.New(cfg.Seed)
 	c.viewerRng = master.Split()
 	seeds := make([]uint64, len(cfg.Channels))
-	for ci := range cfg.Channels {
+	total := 0
+	for ci, spec := range cfg.Channels {
 		seeds[ci] = master.Uint64()
+		total += spec.InitialPeers
 	}
+	// The initial audience's records come from one slab, so construction
+	// pays one allocation for them rather than one per viewer.
+	slab := make([]viewer, total)
+	c.byPeer = make(map[int]*viewer, total)
+	c.viewers = make([]*viewer, 0, total)
 	for ci, spec := range cfg.Channels {
 		st := &channel{name: spec.Name, bitrate: spec.Bitrate}
 		for h, target := range c.assign {
@@ -637,10 +652,14 @@ func New(cfg Config) (*Cluster, error) {
 				st.helperIDs = append(st.helperIDs, h)
 			}
 		}
-		for i := 0; i < spec.InitialPeers; i++ {
-			st.peerIDs = append(st.peerIDs, c.nextID)
-			c.byPeer[c.nextID] = location{channel: ci, local: i}
-			c.viewerIDs = append(c.viewerIDs, c.nextID)
+		st.members = make([]*viewer, spec.InitialPeers)
+		for i := range st.members {
+			v := &slab[0]
+			slab = slab[1:]
+			*v = viewer{id: c.nextID, channel: ci, local: i}
+			st.members[i] = v
+			c.byPeer[v.id] = v
+			c.viewers = append(c.viewers, v)
 			c.nextID++
 		}
 		c.channels = append(c.channels, st)
@@ -739,15 +758,21 @@ func (c *Cluster) NumHelpers() int { return len(c.helpers) }
 func (c *Cluster) ActivePeers() int { return len(c.byPeer) }
 
 // ChannelAudience returns the number of viewers watching channel ci.
-func (c *Cluster) ChannelAudience(ci int) int { return len(c.channels[ci].peerIDs) }
+func (c *Cluster) ChannelAudience(ci int) int { return len(c.channels[ci].members) }
 
 // ChannelPool returns the number of helpers currently assigned to channel ci.
 func (c *Cluster) ChannelPool(ci int) int { return len(c.channels[ci].helperIDs) }
 
-// ChannelPeerIDs returns the global viewer ids watching channel ci,
-// parallel to the channel's local peer indices. The slice aliases director
-// state that membership operations rewrite — clone to retain.
-func (c *Cluster) ChannelPeerIDs(ci int) []int { return c.channels[ci].peerIDs }
+// ChannelPeerIDs returns a fresh slice of the global viewer ids watching
+// channel ci, parallel to the channel's local peer indices.
+func (c *Cluster) ChannelPeerIDs(ci int) []int {
+	members := c.channels[ci].members
+	ids := make([]int, len(members))
+	for i, v := range members {
+		ids[i] = v.id
+	}
+	return ids
+}
 
 // ChannelStageResult returns channel ci's most recent per-stage view (the
 // per-peer actions and rates behind the StageTotals aggregates). The
@@ -782,7 +807,7 @@ func (c *Cluster) MaxDeficit() (float64, error) {
 // refreshDemands rewrites the demand scratch from current audiences.
 func (c *Cluster) refreshDemands() {
 	for ci, st := range c.channels {
-		c.demands[ci] = alloc.Channel{Name: st.name, Demand: float64(len(st.peerIDs)) * st.bitrate}
+		c.demands[ci] = alloc.Channel{Name: st.name, Demand: float64(len(st.members)) * st.bitrate}
 	}
 }
 
@@ -896,13 +921,13 @@ func (c *Cluster) step() error {
 	if c.switchChain != nil {
 		// Iterate in ascending global id so the shared viewer RNG stream is
 		// consumed in a reproducible order.
-		for _, id := range c.viewerIDs {
-			cur := c.byPeer[id].channel
+		for _, v := range c.viewers {
+			cur := v.channel
 			next := c.switchChain.Step(c.viewerRng, cur)
 			if next == cur {
 				continue
 			}
-			if err := c.move(id, next); err != nil {
+			if err := c.move(v, next); err != nil {
 				return err
 			}
 			c.switches++
@@ -963,7 +988,7 @@ func (c *Cluster) emitSeries() {
 		if a.played+a.stalled > 0 {
 			cont = float64(a.played) / float64(a.played+a.stalled)
 		}
-		emit(ci, -1, "active_peers", float64(len(ch.peerIDs)))
+		emit(ci, -1, "active_peers", float64(len(ch.members)))
 		emit(ci, -1, "pool_helpers", float64(len(ch.helperIDs)))
 		emit(ci, -1, "welfare_ratio", ratio)
 		emit(ci, -1, "continuity", cont)
@@ -1044,7 +1069,7 @@ func (c *Cluster) boundary() (EpochMetrics, error) {
 		lateServed += a.lateServed
 		faultMsgs += a.faultMsgs
 		if c.tel.enabled {
-			c.tel.observeChannelEpoch(ci, *a, len(c.channels[ci].peerIDs))
+			c.tel.observeChannelEpoch(ci, *a, len(c.channels[ci].members))
 		}
 		*a = stageData{}
 	}
@@ -1379,13 +1404,12 @@ func (c *Cluster) Join(peerID, ci int) error {
 	if ci < 0 || ci >= len(c.channels) {
 		return fmt.Errorf("cluster: channel %d out of range", ci)
 	}
-	st := c.channels[ci]
-	if err := c.backend.addPeer(ci); err != nil {
-		return fmt.Errorf("cluster: join channel %q: %w", st.name, err)
+	v := &viewer{id: peerID}
+	if err := c.attach(v, ci); err != nil {
+		return err
 	}
-	c.byPeer[peerID] = location{channel: ci, local: len(st.peerIDs)}
-	st.peerIDs = append(st.peerIDs, peerID)
-	c.insertViewer(peerID)
+	c.byPeer[peerID] = v
+	c.insertViewer(v)
 	c.joins++
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindJoin)
@@ -1398,17 +1422,12 @@ func (c *Cluster) Join(peerID, ci int) error {
 
 // Leave removes the global viewer from the system.
 func (c *Cluster) Leave(peerID int) error {
-	loc, ok := c.byPeer[peerID]
+	v, ok := c.byPeer[peerID]
 	if !ok {
 		return fmt.Errorf("cluster: viewer %d not active", peerID)
 	}
-	src := c.channels[loc.channel]
-	if err := c.backend.removePeer(loc.channel, loc.local); err != nil {
-		return fmt.Errorf("cluster: leave channel %q: %w", src.name, err)
-	}
-	src.peerIDs = append(src.peerIDs[:loc.local], src.peerIDs[loc.local+1:]...)
-	for i := loc.local; i < len(src.peerIDs); i++ {
-		c.byPeer[src.peerIDs[i]] = location{channel: loc.channel, local: i}
+	if err := c.detach(v); err != nil {
+		return err
 	}
 	delete(c.byPeer, peerID)
 	c.removeViewer(peerID)
@@ -1417,7 +1436,7 @@ func (c *Cluster) Leave(peerID int) error {
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindLeave)
 		e.Peer = peerID
-		e.Channel = loc.channel
+		e.Channel = v.channel
 		c.trace.Emit(e)
 	}
 	return nil
@@ -1428,17 +1447,17 @@ func (c *Cluster) Leave(peerID int) error {
 // channel is validated *before* the viewer leaves its current one, so a
 // failed switch leaves membership untouched instead of dropping the viewer.
 func (c *Cluster) Switch(peerID, toChannel int) error {
-	loc, ok := c.byPeer[peerID]
+	v, ok := c.byPeer[peerID]
 	if !ok {
 		return fmt.Errorf("cluster: viewer %d not active", peerID)
 	}
 	if toChannel < 0 || toChannel >= len(c.channels) {
 		return fmt.Errorf("cluster: channel %d out of range", toChannel)
 	}
-	if loc.channel == toChannel {
+	if v.channel == toChannel {
 		return nil
 	}
-	if err := c.move(peerID, toChannel); err != nil {
+	if err := c.move(v, toChannel); err != nil {
 		return err
 	}
 	c.switches++
@@ -1530,59 +1549,79 @@ func (c *Cluster) ReplayTotals(w *trace.Workload, horizon int, observe func(Stag
 	return nil
 }
 
-// insertViewer adds id to the ascending viewer-id list (the deterministic
+// insertViewer adds v to the id-ordered viewer list (the deterministic
 // iteration order of the switching pass). Ids usually arrive in increasing
 // order, so the common case is an append.
-func (c *Cluster) insertViewer(id int) {
-	n := len(c.viewerIDs)
-	if n == 0 || c.viewerIDs[n-1] < id {
-		c.viewerIDs = append(c.viewerIDs, id)
+func (c *Cluster) insertViewer(v *viewer) {
+	n := len(c.viewers)
+	if n == 0 || c.viewers[n-1].id < v.id {
+		c.viewers = append(c.viewers, v)
 		return
 	}
-	at := sort.SearchInts(c.viewerIDs, id)
-	c.viewerIDs = append(c.viewerIDs, 0)
-	copy(c.viewerIDs[at+1:], c.viewerIDs[at:])
-	c.viewerIDs[at] = id
+	at, _ := c.viewerIndex(v.id)
+	c.viewers = slices.Insert(c.viewers, at, v)
 }
 
-// removeViewer drops id from the ascending viewer-id list.
+// removeViewer drops id from the id-ordered viewer list.
 func (c *Cluster) removeViewer(id int) {
-	at := sort.SearchInts(c.viewerIDs, id)
-	if at < len(c.viewerIDs) && c.viewerIDs[at] == id {
-		c.viewerIDs = append(c.viewerIDs[:at], c.viewerIDs[at+1:]...)
+	if at, ok := c.viewerIndex(id); ok {
+		c.viewers = slices.Delete(c.viewers, at, at+1)
 	}
 }
 
-// move switches viewer id to channel `to`: selection state and buffer are
+// viewerIndex finds id in the id-ordered viewer list: its position and
+// true, or the position it would be inserted at and false.
+func (c *Cluster) viewerIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(c.viewers, id, func(v *viewer, id int) int { return cmp.Compare(v.id, id) })
+}
+
+// move switches viewer v to channel `to`: selection state and buffer are
 // fresh on arrival, since both the helper pool and the bitrate change.
-func (c *Cluster) move(id, to int) error {
-	loc, ok := c.byPeer[id]
-	if !ok {
-		return fmt.Errorf("cluster: viewer %d not active", id)
-	}
-	if loc.channel == to {
+func (c *Cluster) move(v *viewer, to int) error {
+	from := v.channel
+	if from == to {
 		return nil
 	}
-	src := c.channels[loc.channel]
-	if err := c.backend.removePeer(loc.channel, loc.local); err != nil {
-		return fmt.Errorf("cluster: leave channel %q: %w", src.name, err)
+	if err := c.detach(v); err != nil {
+		return err
 	}
-	src.peerIDs = append(src.peerIDs[:loc.local], src.peerIDs[loc.local+1:]...)
-	for i := loc.local; i < len(src.peerIDs); i++ {
-		c.byPeer[src.peerIDs[i]] = location{channel: loc.channel, local: i}
+	if err := c.attach(v, to); err != nil {
+		return err
 	}
-	dst := c.channels[to]
-	if err := c.backend.addPeer(to); err != nil {
-		return fmt.Errorf("cluster: join channel %q: %w", dst.name, err)
-	}
-	c.byPeer[id] = location{channel: to, local: len(dst.peerIDs)}
-	dst.peerIDs = append(dst.peerIDs, id)
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindSwitch)
-		e.Peer = id
-		e.Channel = loc.channel
+		e.Peer = v.id
+		e.Channel = from
 		e.To = to
 		c.trace.Emit(e)
 	}
+	return nil
+}
+
+// detach removes v from its channel: the backend drops the peer at
+// v.local, and the member list shifts down over it, each later record's
+// local index rewritten in place. v keeps its channel field, so callers
+// can still report where it left from.
+func (c *Cluster) detach(v *viewer) error {
+	src := c.channels[v.channel]
+	if err := c.backend.removePeer(v.channel, v.local); err != nil {
+		return fmt.Errorf("cluster: leave channel %q: %w", src.name, err)
+	}
+	src.members = slices.Delete(src.members, v.local, v.local+1)
+	for i := v.local; i < len(src.members); i++ {
+		src.members[i].local = i
+	}
+	return nil
+}
+
+// attach appends v to channel ci at the next local index, joining a fresh
+// peer on the backend.
+func (c *Cluster) attach(v *viewer, ci int) error {
+	dst := c.channels[ci]
+	if err := c.backend.addPeer(ci); err != nil {
+		return fmt.Errorf("cluster: join channel %q: %w", dst.name, err)
+	}
+	v.channel, v.local = ci, len(dst.members)
+	dst.members = append(dst.members, v)
 	return nil
 }

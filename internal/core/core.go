@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"rths/internal/markov"
@@ -381,10 +382,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.ShardMinPeers < 0 {
 		return nil, fmt.Errorf("core: ShardMinPeers=%d", cfg.ShardMinPeers)
 	}
-	factory := cfg.Factory
-	if factory == nil {
-		factory = RTHSFactory()
-	}
 	if cfg.UtilityScale < 0 {
 		return nil, fmt.Errorf("core: UtilityScale=%g", cfg.UtilityScale)
 	}
@@ -451,7 +448,14 @@ func New(cfg Config) (*System, error) {
 	s.arena.Reserve(cfg.NumPeers)
 
 	for i := 0; i < cfg.NumPeers; i++ {
-		sel, err := factory(i, s.NewPeerActions(), scale)
+		var sel Selector
+		var err error
+		if cfg.Factory == nil {
+			// RTHSFactory's learner, built in its arena slot.
+			sel, err = s.newDefaultLearner()
+		} else {
+			sel, err = cfg.Factory(i, s.NewPeerActions(), scale)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: selector for peer %d: %w", i, err)
 		}
@@ -466,6 +470,9 @@ func New(cfg Config) (*System, error) {
 		s.attachView(p)
 		s.adopt(p)
 		s.peers = append(s.peers, p)
+		if obs, ok := sel.(StageObserver); ok {
+			s.observers = append(s.observers, obs)
+		}
 	}
 	s.actions = make([]int, len(s.peers))
 	s.viewActions = make([]int, len(s.peers))
@@ -496,7 +503,6 @@ func New(cfg Config) (*System, error) {
 	// subsystem adjusts GOMAXPROCS (results are identical either way, but
 	// the execution mode should be stable and inspectable).
 	s.maxProcs = runtime.GOMAXPROCS(0)
-	s.rebuildObservers()
 	return s, nil
 }
 
@@ -506,6 +512,18 @@ func (s *System) adopt(p *peer) {
 	if s.arena != nil && p.lrn != nil {
 		s.arena.Adopt(p.lrn)
 	}
+}
+
+// newDefaultLearner builds the default RTHS learner for a joining peer,
+// sized to NewPeerActions. It is built directly in an arena slot, so the
+// join leaves no private matrix behind for the collector; without an
+// arena it falls back to private storage.
+func (s *System) newDefaultLearner() (*regret.Learner, error) {
+	cfg := regret.Defaults(s.NewPeerActions(), 1)
+	if s.arena == nil {
+		return regret.New(cfg)
+	}
+	return s.arena.New(cfg)
 }
 
 // release returns a departing peer's learner state to private storage and
@@ -532,17 +550,6 @@ func (s *System) discard(p *peer) {
 // assert density under churn; tools read the slot cost model). Nil only
 // when a test has detached it.
 func (s *System) LearnerArena() *regret.Arena { return s.arena }
-
-// rebuildObservers recomputes the cached StageObserver list from scratch
-// (construction and RemovePeer; AddPeer appends incrementally).
-func (s *System) rebuildObservers() {
-	s.observers = s.observers[:0]
-	for _, p := range s.peers {
-		if obs, ok := p.sel.(StageObserver); ok {
-			s.observers = append(s.observers, obs)
-		}
-	}
-}
 
 // NewPeerActions returns the action-set size a newly joining peer's
 // selector must have: the view bound when partial views are engaged
@@ -1163,7 +1170,7 @@ func (s *System) AddPeer(sel Selector, demand float64) (int, error) {
 	}
 	if sel == nil {
 		var err error
-		sel, err = regret.New(regret.Defaults(s.NewPeerActions(), 1))
+		sel, err = s.newDefaultLearner()
 		if err != nil {
 			return 0, err
 		}
@@ -1204,13 +1211,30 @@ func (s *System) RemovePeer(i int) error {
 	if i < 0 || i >= len(s.peers) {
 		return fmt.Errorf("core: RemovePeer(%d) with %d peers", i, len(s.peers))
 	}
-	s.discard(s.peers[i])
+	p := s.peers[i]
+	if _, ok := p.sel.(StageObserver); ok {
+		s.dropObserver(i)
+	}
+	s.discard(p)
 	s.peers = append(s.peers[:i], s.peers[i+1:]...)
 	s.actions = s.actions[:len(s.peers)]
 	s.viewActions = s.viewActions[:len(s.peers)]
 	s.rates = s.rates[:len(s.peers)]
-	s.rebuildObservers()
 	return nil
+}
+
+// dropObserver removes observer peer i's entry from the observer list.
+// The list is in peer order, so the entry sits at the number of observer
+// peers before i. It is found by that position, not by comparing values:
+// two peers may hold equal observers.
+func (s *System) dropObserver(i int) {
+	k := 0
+	for _, q := range s.peers[:i] {
+		if _, ok := q.sel.(StageObserver); ok {
+			k++
+		}
+	}
+	s.observers = slices.Delete(s.observers, k, k+1)
 }
 
 // SetHelperLevels replaces helper j's bandwidth levels mid-run (a capacity

@@ -94,6 +94,36 @@ func (a *Arena) Adopt(l *Learner) {
 	a.bind(l)
 }
 
+// New builds a learner exactly as the package-level New does, but with
+// its state placed directly in the next free slot: a zeroed proxy matrix
+// and a uniform strategy, written into the slabs instead of private slices
+// that Adopt would then copy. The learner's trajectory is bit-identical to
+// New followed by Adopt (pinned by TestArenaNewMatchesAdopt).
+func (a *Arena) New(cfg Config) (*Learner, error) {
+	if cfg.Mode == 0 {
+		cfg.Mode = ModeTracking
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	m := cfg.NumActions
+	if m > a.capM {
+		a.growTo(m)
+	}
+	slot := len(a.handles)
+	a.ensureSlots(slot + 1)
+	l := &Learner{cfg: cfg, m: m, w: 1, last: -1, arena: a, slot: slot}
+	a.handles = append(a.handles, l)
+	a.bind(l)
+	// The slot may hold a previous occupant's state.
+	clear(l.t)
+	for i := range l.probs {
+		l.probs[i] = 1 / float64(m)
+	}
+	l.sizeConstants()
+	return l, nil
+}
+
 // Release moves a resident learner's state back out to private heap
 // storage (the learner keeps working, just without the arena layout) and
 // compacts the freed slot by moving the last occupied slot into it —

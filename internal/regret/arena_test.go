@@ -1,6 +1,7 @@
 package regret
 
 import (
+	"math"
 	"testing"
 
 	"rths/internal/xrand"
@@ -236,5 +237,103 @@ func TestArenaSlotGeometry(t *testing.T) {
 		if a.SlotBytes() != (a.tStride+a.pStride)*8 {
 			t.Fatalf("capM=%d: SlotBytes inconsistent", capM)
 		}
+	}
+}
+
+// sameBits reports whether two learners hold bit-identical state: shape,
+// scalars, proxy matrix and strategy, compared as raw float64 bits.
+func sameBits(a, b *Learner) bool {
+	if a.m != b.m || a.stage != b.stage || a.last != b.last ||
+		math.Float64bits(a.w) != math.Float64bits(b.w) || len(a.t) != len(b.t) {
+		return false
+	}
+	for i := range a.t {
+		if math.Float64bits(a.t[i]) != math.Float64bits(b.t[i]) {
+			return false
+		}
+	}
+	for i := range a.probs {
+		if math.Float64bits(a.probs[i]) != math.Float64bits(b.probs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// A learner built in its slot by Arena.New must match New followed by
+// Adopt to 0 ULP across a random Select/Update/AddAction/RemoveAction
+// sequence. The in-place learner takes a slot a discarded learner left
+// with non-zero state behind, so stale slab contents would show.
+func TestArenaNewMatchesAdopt(t *testing.T) {
+	for _, m0 := range []int{2, 5} {
+		cfg := arenaTestConfig(m0)
+		a := NewArena(1) // too small: the first New regrows the slots
+		// Two residents with trained state; discarding the first moves
+		// the second into slot 0 and leaves slot 1 holding its old state.
+		stale := [2]*Learner{}
+		for i := range stale {
+			l, err := a.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveChurn(t, l, uint64(40+i), 300, m0)
+			stale[i] = l
+		}
+		a.Discard(stale[0])
+		in, err := a.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.slot != 1 || a.Len() != 2 {
+			t.Fatalf("m0=%d: in-place learner at slot %d of %d, want the freed slot 1 of 2", m0, in.slot, a.Len())
+		}
+		ref := MustNew(cfg)
+		NewArena(m0).Adopt(ref)
+		if !sameBits(in, ref) {
+			t.Fatalf("m0=%d: fresh in-place learner differs from New+Adopt", m0)
+		}
+		ops := xrand.New(uint64(m0))
+		rIn, rRef := xrand.New(9), xrand.New(9)
+		for step := 0; step < 3000; step++ {
+			switch k := ops.Intn(20); {
+			case k == 0 && in.m < 3*m0:
+				in.AddAction()
+				ref.AddAction()
+			case k == 1 && in.m > 1:
+				j := ops.Intn(in.m)
+				in.RemoveAction(j)
+				ref.RemoveAction(j)
+			default:
+				u := ops.Float64()
+				if err := in.Update(in.Select(rIn), u); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Update(ref.Select(rRef), u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !sameBits(in, ref) {
+				t.Fatalf("m0=%d: in-place learner diverged from New+Adopt at step %d", m0, step)
+			}
+		}
+		// The other resident was never disturbed by the in-place build.
+		twin := MustNew(cfg)
+		driveChurn(t, twin, 41, 300, m0)
+		if !sameBits(stale[1], twin) {
+			t.Fatalf("m0=%d: neighbouring resident changed", m0)
+		}
+	}
+}
+
+// Arena.New validates like New and occupies no slot on error.
+func TestArenaNewRejectsBadConfig(t *testing.T) {
+	a := NewArena(4)
+	bad := arenaTestConfig(4)
+	bad.StepSize = 0
+	if _, err := a.New(bad); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	if a.Len() != 0 {
+		t.Fatalf("failed New left %d slots occupied", a.Len())
 	}
 }

@@ -9,7 +9,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rths/internal/xrand"
 )
@@ -26,24 +25,6 @@ const (
 	// Switch is a peer moving to a different channel.
 	Switch
 )
-
-// stageOrder is the within-stage application order — the order
-// GenerateChurn itself sequences a stage: departures free their slots
-// first, survivors zap channels, and only then do new arrivals join.
-// Workload.Events is sorted with this key, so a replay applies each
-// stage's events exactly as the generator produced them.
-func (k EventKind) stageOrder() int {
-	switch k {
-	case Leave:
-		return 0
-	case Switch:
-		return 1
-	case Join:
-		return 2
-	default:
-		return 3
-	}
-}
 
 func (k EventKind) String() string {
 	switch k {
@@ -129,44 +110,43 @@ func GenerateChurn(cfg ChurnConfig) (*Workload, error) {
 	r := xrand.New(cfg.Seed)
 	zipf := xrand.NewZipf(r, cfg.ZipfS, cfg.Channels)
 
+	// Sessions get increasing ids, so channel[id] is the session table,
+	// active lists the live ids in ascending order, and departs[s] lists
+	// the ids leaving at stage s, also ascending (they were appended in
+	// arrival order). Each stage is emitted already in Workload.Events
+	// order — leaves, switches, joins, each by ascending id — so neither
+	// a map walk nor a sort is needed.
 	var events []Event
-	type session struct {
-		id      int
-		channel int
-		depart  int
-	}
-	active := make(map[int]*session)
-	nextID := 0
+	var channel []int
+	var active []int
+	departs := make([][]int, cfg.Horizon)
 	peak := 0
 	for stage := 0; stage < cfg.Horizon; stage++ {
 		// Departures scheduled for this stage.
-		var leaving []int
-		//rths:nondeterminism-ok keys are collected unordered, then sorted before any event is emitted
-		for id, s := range active {
-			if s.depart == stage {
-				leaving = append(leaving, id)
+		if leaving := departs[stage]; len(leaving) > 0 {
+			for _, id := range leaving {
+				events = append(events, Event{Stage: stage, Kind: Leave, PeerID: id, Channel: channel[id]})
+				channel[id] = -1
 			}
-		}
-		sort.Ints(leaving)
-		for _, id := range leaving {
-			events = append(events, Event{Stage: stage, Kind: Leave, PeerID: id, Channel: active[id].channel})
-			delete(active, id)
+			departs[stage] = nil
+			n := 0
+			for _, id := range active {
+				if channel[id] >= 0 {
+					active[n] = id
+					n++
+				}
+			}
+			active = active[:n]
 		}
 		// Channel switches.
 		if cfg.SwitchRate > 0 && cfg.Channels > 1 {
-			ids := make([]int, 0, len(active))
-			//rths:nondeterminism-ok keys are collected unordered, then sorted before the RNG stream is consumed
-			for id := range active {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
+			for _, id := range active {
 				if r.Float64() < cfg.SwitchRate {
 					to := zipf.Draw() - 1
-					if to == active[id].channel {
+					if to == channel[id] {
 						continue
 					}
-					active[id].channel = to
+					channel[id] = to
 					events = append(events, Event{Stage: stage, Kind: Switch, PeerID: id, Channel: to})
 				}
 			}
@@ -175,24 +155,20 @@ func GenerateChurn(cfg ChurnConfig) (*Workload, error) {
 		for a := r.Poisson(cfg.ArrivalRate); a > 0; a-- {
 			ch := zipf.Draw() - 1
 			life := int(r.Exp(1/cfg.MeanLifetime)) + 1
-			s := &session{id: nextID, channel: ch, depart: stage + life}
-			active[nextID] = s
-			events = append(events, Event{Stage: stage, Kind: Join, PeerID: nextID, Channel: ch})
-			nextID++
+			id := len(channel)
+			channel = append(channel, ch)
+			active = append(active, id)
+			// depart > stage also rules out int overflow from an
+			// enormous lifetime draw: such a session never leaves.
+			if depart := stage + life; depart > stage && depart < cfg.Horizon {
+				departs[depart] = append(departs[depart], id)
+			}
+			events = append(events, Event{Stage: stage, Kind: Join, PeerID: id, Channel: ch})
 		}
 		if len(active) > peak {
 			peak = len(active)
 		}
 	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Stage != events[j].Stage {
-			return events[i].Stage < events[j].Stage
-		}
-		if a, b := events[i].Kind.stageOrder(), events[j].Kind.stageOrder(); a != b {
-			return a < b
-		}
-		return events[i].PeerID < events[j].PeerID
-	})
 	return &Workload{Events: events, Peak: peak, FinalActive: len(active)}, nil
 }
 
