@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"rths/internal/core"
 	"rths/internal/distsim"
+	"rths/internal/fanout"
 	"rths/internal/streaming"
 )
 
@@ -21,25 +21,31 @@ type memChannel struct {
 	err     error
 }
 
-// memBackend steps channels as shared-memory core.Systems, fanning out to
-// Workers goroutines (channel ci on worker ci mod Workers) when the pool
-// is enabled. Channels never share state within a stage, so the fan-out
-// has no effect on results — only on wall-clock.
+// memBackend steps channels as shared-memory core.Systems, channel ci on
+// worker ci mod Workers. The workers run on goroutines through fanout.Run
+// when there are at least as many channels as workers; otherwise, and at
+// GOMAXPROCS=1, they run inline. Channels never share state within a
+// stage, so the fan-out has no effect on results — only on wall-clock.
 type memBackend struct {
 	channels []*memChannel
 	workers  int
 	factory  core.SelectorFactory
 	scale    float64
 	startup  float64
+	// out is the current stage's output slots, and workerFn the bound
+	// stepWorker, hoisted so an inline stage allocates nothing.
+	out      []stageData
+	workerFn func(k int)
 }
 
 func newMemBackend(cfg Config, assign []int, seeds []uint64, scale, startup float64) (*memBackend, error) {
 	b := &memBackend{
-		workers: cfg.Workers,
+		workers: max(cfg.Workers, 1),
 		factory: cfg.Factory,
 		scale:   scale,
 		startup: startup,
 	}
+	b.workerFn = b.stepWorker
 	for ci, spec := range cfg.Channels {
 		var pool []core.HelperSpec
 		for h, target := range assign {
@@ -120,23 +126,8 @@ func (b *memBackend) removeHelper(ci, local, id int) error {
 }
 
 func (b *memBackend) step(out []stageData) error {
-	if b.workers > 1 && len(b.channels) >= b.workers {
-		var wg sync.WaitGroup
-		wg.Add(b.workers)
-		for k := 0; k < b.workers; k++ {
-			go func(k int) {
-				defer wg.Done()
-				for ci := k; ci < len(b.channels); ci += b.workers {
-					b.channels[ci].step(&out[ci])
-				}
-			}(k)
-		}
-		wg.Wait()
-	} else {
-		for ci, st := range b.channels {
-			st.step(&out[ci])
-		}
-	}
+	b.out = out
+	fanout.Run(b.workers, len(b.channels) >= b.workers, b.workerFn)
 	for _, st := range b.channels {
 		if st.err != nil {
 			err := st.err
@@ -145,6 +136,13 @@ func (b *memBackend) step(out []stageData) error {
 		}
 	}
 	return nil
+}
+
+// stepWorker steps worker k's channels: ci = k, k+Workers, ….
+func (b *memBackend) stepWorker(k int) {
+	for ci := k; ci < len(b.channels); ci += b.workers {
+		b.channels[ci].step(&b.out[ci])
+	}
 }
 
 func (b *memBackend) lastResult(ci int) core.StageResult { return b.channels[ci].last }

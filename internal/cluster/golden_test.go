@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"rths/internal/trace"
@@ -19,13 +20,14 @@ const goldenReplayDigest = "09e4c1f232cd8c8a4f2e7dda4cdc78b7fcac4d6be6e515575934
 // goldenReplayHorizon is the golden scenario's length in stages.
 const goldenReplayHorizon = 120
 
-// replayDigest runs the golden scenario on the given backend and hashes
-// every stage's totals: 4 channels with Markov zapping, a flash crowd at
-// stage 30, partial views (ViewSize 4 over 48 helpers, refreshed every 10
-// stages), re-allocation epochs and a replayed churn trace.
-func replayDigest(t *testing.T, backend BackendKind) string {
+// replayDigest runs the golden scenario on the given backend and channel
+// worker count and hashes every stage's totals: 4 channels with Markov
+// zapping, a flash crowd at stage 30, partial views (ViewSize 4 over 48
+// helpers, refreshed every 10 stages), re-allocation epochs and a
+// replayed churn trace.
+func replayDigest(t *testing.T, backend BackendKind, workers int) string {
 	t.Helper()
-	c, err := New(viewsConfig(71, backend, 4, 0))
+	c, err := New(viewsConfig(71, backend, 4, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +66,23 @@ func TestGoldenReplayDigest(t *testing.T) {
 		t.Fatalf("golden trace inert: %v", kinds)
 	}
 	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
-		if got := replayDigest(t, backend); got != goldenReplayDigest {
+		if got := replayDigest(t, backend, 0); got != goldenReplayDigest {
 			t.Errorf("backend %v: replay digest %s, want %s", backend, got, goldenReplayDigest)
+		}
+	}
+}
+
+// TestMemoryWorkersReplayAcrossGOMAXPROCS runs the golden scenario on the
+// memory backend with two channel workers. At GOMAXPROCS=1 the workers
+// run inline; at GOMAXPROCS=2 they run on goroutines in parallel. Both
+// must reproduce the golden digest.
+func TestMemoryWorkersReplayAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := replayDigest(t, BackendMemory, 2); got != goldenReplayDigest {
+			t.Errorf("GOMAXPROCS=%d: replay digest %s, want %s", procs, got, goldenReplayDigest)
 		}
 	}
 }

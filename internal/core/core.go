@@ -16,10 +16,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
+	"rths/internal/fanout"
 	"rths/internal/markov"
 	"rths/internal/regret"
 	"rths/internal/telemetry"
@@ -139,14 +138,18 @@ type Config struct {
 	// DemandPerPeer is each peer's streaming demand in kbps, used by the
 	// server-load accounting (Fig 5). Zero disables demand tracking.
 	DemandPerPeer float64
-	// Workers enables the sharded parallel step engine: peers are strided
-	// across Workers shards, each with its own deterministic RNG stream,
-	// and the per-stage select/feedback passes run on a shard-per-worker
-	// pool once the population is large enough to amortize the fan-out.
-	// 0 or 1 selects the sequential engine. Results are deterministic and
-	// seed-reproducible for a fixed (Seed, Workers) pair; different Workers
-	// values consume different RNG streams and therefore realize different
-	// (statistically equivalent) trajectories.
+	// Workers is the number of peer shards the per-stage select and
+	// feedback passes are split into: peer i belongs to shard i mod
+	// Workers. 0 or 1 is the sequential engine, a single shard drawing from
+	// the system's master stream. Above 1 each shard draws from its own
+	// stream split from the master, and the shards run on one goroutine
+	// each when every shard holds at least 2,000 peers (the measured
+	// crossover) and the process has more than one scheduler core;
+	// otherwise they run inline, with the same streams and the same
+	// results. Results are seed-reproducible for a fixed (Seed, Workers)
+	// pair; different Workers values above 1 consume different RNG
+	// streams and therefore realize different (statistically equivalent)
+	// trajectories.
 	Workers int
 	// UtilityScale overrides the utility normalization constant (by default
 	// the maximum level across the configured helpers). Systems that
@@ -179,15 +182,6 @@ type Config struct {
 	// 0 selects DefaultViewRefresh; negative disables refresh. Ignored
 	// when partial views are not engaged.
 	ViewRefresh int
-	// ShardMinPeers gates the sharded engine's goroutine fan-out: shards
-	// run inline on the calling goroutine (same per-shard RNG streams,
-	// bit-identical results) until the population reaches
-	// Workers*ShardMinPeers peers, or whenever the process has a single
-	// scheduler core (GOMAXPROCS=1) — goroutines cannot run in parallel
-	// there, so the fan-out would only add handoff latency while the
-	// recorded numbers masquerade as parallel measurements. 0 selects
-	// DefaultShardMinPeers; negative is invalid.
-	ShardMinPeers int
 	// Instruments is the optional per-engine telemetry seam: when non-nil
 	// the stage loop observes select/feedback phase wall time and counts
 	// stages and view swaps into it. Each engine must own its own set (a
@@ -288,15 +282,11 @@ type System struct {
 	inst           *telemetry.SystemInstruments
 	stageViewSwaps int
 
-	// Sharded parallel engine (Config.Workers > 1).
-	workers       int
-	shardRngs     []*xrand.Rand // per-shard selection streams
-	shardLoads    [][]int       // per-shard load accumulators
-	shards        []shardState  // per-shard feedback partials
-	selectFn      func(k int)   // bound shardSelect, hoisted so Step stays alloc-free
-	feedbackFn    func(k int)   // bound shardFeedback, same reason
-	shardMinPeers int           // Config.ShardMinPeers (defaulted)
-	maxProcs      int           // GOMAXPROCS at construction; 1 forces inline shards
+	// Peer shards (Config.Workers, at least one): peer i belongs to shard
+	// i mod len(shards).
+	shards     []shardState
+	selectFn   func(k int) // bound shardSelect, hoisted so Step stays alloc-free
+	feedbackFn func(k int) // bound shardFeedback, same reason
 
 	// arena is the struct-of-arrays store for the resident RTHS learners:
 	// every peer whose selector is a *regret.Learner has its proxy matrix
@@ -309,21 +299,25 @@ type System struct {
 	arena *regret.Arena
 }
 
-// shardState holds one shard's per-stage partial aggregates, padded to a
-// cache line so parallel workers do not false-share.
+// shardState is one peer shard: its selection stream, its load counts
+// and its per-stage partial aggregates, padded to two cache lines so
+// parallel workers do not false-share.
 type shardState struct {
+	rng        *xrand.Rand
+	loads      []int
 	welfare    float64
 	serverLoad float64
 	demandSum  float64
 	err        error
-	_          [3]uint64
+	_          [7]uint64
 }
 
-// DefaultShardMinPeers is the default Config.ShardMinPeers: below this
-// many peers per shard the parallel engine runs its shards inline (same
-// RNG streams, same results) because goroutine handoff would cost more
-// than the stage work.
-const DefaultShardMinPeers = 64
+// shardMinPeers is the number of peers each shard must hold before the
+// shards fan out to goroutines; below it the shards run inline (same
+// streams, same results) because goroutine handoff costs more than the
+// stage work. It is the measured crossover, see PERF.md "The sharded
+// parallel engine".
+const shardMinPeers = 2000
 
 // StageResult is the global view of one completed stage.
 type StageResult struct {
@@ -378,9 +372,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: Workers=%d", cfg.Workers)
-	}
-	if cfg.ShardMinPeers < 0 {
-		return nil, fmt.Errorf("core: ShardMinPeers=%d", cfg.ShardMinPeers)
 	}
 	if cfg.UtilityScale < 0 {
 		return nil, fmt.Errorf("core: UtilityScale=%g", cfg.UtilityScale)
@@ -481,28 +472,20 @@ func New(cfg Config) (*System, error) {
 	s.rates = make([]float64, len(s.peers))
 	s.helperRates = make([]float64, len(s.helpers))
 	s.capScratch = make([]float64, len(s.helpers))
-	if cfg.Workers > 1 {
-		s.workers = cfg.Workers
-		s.shardRngs = make([]*xrand.Rand, s.workers)
-		s.shardLoads = make([][]int, s.workers)
-		s.shards = make([]shardState, s.workers)
-		for k := range s.shardRngs {
-			// Independent per-shard streams, split deterministically from
-			// the master stream after all construction-time draws.
-			s.shardRngs[k] = rng.Split()
-			s.shardLoads[k] = make([]int, len(s.helpers))
+	s.shards = make([]shardState, max(cfg.Workers, 1))
+	for k := range s.shards {
+		// The one shard of a sequential engine draws from the master
+		// stream itself. Several shards get independent streams, split
+		// deterministically from the master after all construction-time
+		// draws.
+		s.shards[k].rng = rng
+		if len(s.shards) > 1 {
+			s.shards[k].rng = rng.Split()
 		}
-		s.selectFn = s.shardSelect
-		s.feedbackFn = s.shardFeedback
+		s.shards[k].loads = make([]int, len(s.helpers))
 	}
-	s.shardMinPeers = cfg.ShardMinPeers
-	if s.shardMinPeers == 0 {
-		s.shardMinPeers = DefaultShardMinPeers
-	}
-	// Captured once: the fan-out gate must not flip mid-run if some other
-	// subsystem adjusts GOMAXPROCS (results are identical either way, but
-	// the execution mode should be stable and inspectable).
-	s.maxProcs = runtime.GOMAXPROCS(0)
+	s.selectFn = s.shardSelect
+	s.feedbackFn = s.shardFeedback
 	return s, nil
 }
 
@@ -757,9 +740,9 @@ func (s *System) Selector(i int) Selector { return s.peers[i].sel }
 // Step advances the system one stage: bandwidth chains move, every peer
 // selects a helper, rates are realized and fed back. The returned result's
 // slices alias internal buffers that the next Step overwrites — call Clone
-// to retain a result across stages. The steady-state sequential path is
-// allocation-free (pinned by TestStepZeroAllocs); with Config.Workers > 1
-// the selection and feedback passes run sharded on a worker pool.
+// to retain a result across stages. The steady state is allocation-free
+// unless the shards fan out to goroutines (pinned by TestStepZeroAllocs
+// and TestParallelInlineStepZeroAllocs).
 //
 //rths:hotpath
 func (s *System) Step() (StageResult, error) {
@@ -790,14 +773,13 @@ func (s *System) stepInto(res *StageResult) error {
 	return s.finishInto(res)
 }
 
-// selectPhase runs the simultaneous-selection pass, filling s.actions
-// (global helper ids) and s.loads; partial-view peers select a view-local
-// action (kept in s.viewActions for the feedback pass) that is routed to
-// its global helper id here. It also hosts the periodic view-refresh
-// pass, which must run at the top of a stage: selectPhase is the one
-// point both the whole-stage engine (Step) and the split-phase protocol
-// (SelectStage, driven by the distributed runtime) pass through, so both
-// backends refresh on exactly the same stages.
+// selectPhase runs the simultaneous-selection pass (shardSelect on every
+// shard), filling s.actions (global helper ids) and s.loads. It also
+// hosts the periodic view-refresh pass, which must run at the top of a
+// stage: selectPhase is the one point both the whole-stage engine (Step)
+// and the split-phase protocol (SelectStage, driven by the distributed
+// runtime) pass through, so both backends refresh on exactly the same
+// stages.
 //
 //rths:hotpath
 func (s *System) selectPhase() error {
@@ -809,29 +791,19 @@ func (s *System) selectPhase() error {
 	if s.viewMaster != nil && s.viewRefresh > 0 && s.stage > 0 && s.stage%s.viewRefresh == 0 {
 		s.refreshViews()
 	}
-	if s.workers > 1 {
-		if err := s.selectSharded(); err != nil {
-			return err
+	// Reduce the per-shard load counts in shard order, so the result is
+	// independent of goroutine scheduling.
+	s.runShards(s.selectFn)
+	for j := range s.loads {
+		s.loads[j] = 0
+	}
+	for k := range s.shards {
+		for j, l := range s.shards[k].loads {
+			s.loads[j] += l
 		}
-	} else {
-		for j := range s.loads {
-			s.loads[j] = 0
-		}
-		for i, p := range s.peers {
-			a := p.selectHelper(s.rng)
-			if p.view != nil {
-				if a < 0 || a >= p.view.Len() {
-					return selectionErr(i, a, true)
-				}
-				s.viewActions[i] = a
-				a = p.view.Global(a)
-			}
-			if a < 0 || a >= len(s.helpers) {
-				return selectionErr(i, a, false)
-			}
-			s.actions[i] = a
-			s.loads[a]++
-		}
+	}
+	if err := s.takeShardErr(); err != nil {
+		return err
 	}
 	if s.inst != nil {
 		s.inst.SelectSeconds.Observe(float64(s.inst.Now()-t0) / 1e9)
@@ -859,34 +831,19 @@ func (s *System) finishInto(res *StageResult) error {
 			s.helperRates[j] = 0
 		}
 	}
+	// Reduce the welfare, server-load and demand partials in shard order:
+	// a fixed floating-point summation order, so results are
+	// bit-reproducible for a given Workers. One shard adds its partials to
+	// zero, which leaves them exact.
+	s.runShards(s.feedbackFn)
 	var welfare, serverLoad, demandSum float64
-	if s.workers > 1 {
-		var err error
-		welfare, serverLoad, demandSum, err = s.feedbackSharded()
-		if err != nil {
-			return err
-		}
-	} else {
-		for i, p := range s.peers {
-			r := s.helperRates[s.actions[i]]
-			s.rates[i] = r
-			welfare += r
-			if p.demand > 0 {
-				demandSum += p.demand
-				if short := p.demand - r; short > 0 {
-					serverLoad += short
-				}
-			}
-			// The selector is fed its own (view-local) action back; the
-			// realized rate was routed through the global id above.
-			act := s.actions[i]
-			if p.view != nil {
-				act = s.viewActions[i]
-			}
-			if err := p.feedback(act, r/s.scale); err != nil {
-				return feedbackErr(i, err)
-			}
-		}
+	for k := range s.shards {
+		welfare += s.shards[k].welfare
+		serverLoad += s.shards[k].serverLoad
+		demandSum += s.shards[k].demandSum
+	}
+	if err := s.takeShardErr(); err != nil {
+		return err
 	}
 	minDeficit := demandSum - capSum
 	if minDeficit < 0 {
@@ -913,53 +870,29 @@ func (s *System) finishInto(res *StageResult) error {
 	return nil
 }
 
-// selectSharded runs the selection pass over peer shards (peer i belongs to
-// shard i mod workers), then reduces the per-shard load counts in shard
-// order so the result is independent of goroutine scheduling.
-func (s *System) selectSharded() error {
-	s.runShards(s.selectFn)
-	for j := range s.loads {
-		s.loads[j] = 0
-	}
-	for k := 0; k < s.workers; k++ {
-		for j, l := range s.shardLoads[k] {
-			s.loads[j] += l
-		}
-	}
-	return s.takeShardErr()
-}
-
-// feedbackSharded runs the rate/feedback pass over peer shards and reduces
-// the welfare, server-load and demand partials in shard order (fixed
-// floating-point summation order ⇒ bit-reproducible for a given Workers).
-func (s *System) feedbackSharded() (welfare, serverLoad, demandSum float64, err error) {
-	s.runShards(s.feedbackFn)
-	for k := range s.shards {
-		welfare += s.shards[k].welfare
-		serverLoad += s.shards[k].serverLoad
-		demandSum += s.shards[k].demandSum
-	}
-	return welfare, serverLoad, demandSum, s.takeShardErr()
-}
-
 // shardSelect is shard k's selection pass: sample a helper for every peer
-// in the shard from the shard's private RNG stream, counting loads locally.
+// in the shard from the shard's RNG stream, counting loads locally.
+// Partial-view peers select a view-local action (kept in s.viewActions for
+// the feedback pass) that is routed to its global helper id here. An
+// invalid selection records the shard's first error and the pass goes on.
 //
 //rths:hotpath
 func (s *System) shardSelect(k int) {
-	loads := s.shardLoads[k]
+	st := &s.shards[k]
+	loads := st.loads
 	for j := range loads {
 		loads[j] = 0
 	}
-	rng := s.shardRngs[k]
+	rng := st.rng
 	h := len(s.helpers)
-	for i := k; i < len(s.peers); i += s.workers {
-		p := s.peers[i]
+	peers, stride := s.peers, len(s.shards)
+	for i := k; i < len(peers); i += stride {
+		p := peers[i]
 		a := p.selectHelper(rng)
 		if p.view != nil {
 			if a < 0 || a >= p.view.Len() {
-				if s.shards[k].err == nil {
-					s.shards[k].err = selectionErr(i, a, true)
+				if st.err == nil {
+					st.err = selectionErr(i, a, true)
 				}
 				a = 0 // keep the buffers consistent; the error aborts the stage
 			}
@@ -967,8 +900,8 @@ func (s *System) shardSelect(k int) {
 			a = p.view.Global(a)
 		}
 		if a < 0 || a >= h {
-			if s.shards[k].err == nil {
-				s.shards[k].err = selectionErr(i, a, false)
+			if st.err == nil {
+				st.err = selectionErr(i, a, false)
 			}
 			a = 0 // keep the buffers consistent; the error aborts the stage
 		}
@@ -979,31 +912,36 @@ func (s *System) shardSelect(k int) {
 
 // shardFeedback is shard k's rate/feedback pass: realize each peer's rate,
 // accumulate the shard's welfare/server-load partials, and feed the
-// learners.
+// learners. A failed update records the shard's first error and the pass
+// goes on.
 //
 //rths:hotpath
 func (s *System) shardFeedback(k int) {
 	st := &s.shards[k]
-	st.welfare, st.serverLoad, st.demandSum = 0, 0, 0
-	for i := k; i < len(s.peers); i += s.workers {
-		p := s.peers[i]
+	var welfare, serverLoad, demandSum float64
+	peers, stride := s.peers, len(s.shards)
+	for i := k; i < len(peers); i += stride {
+		p := peers[i]
 		r := s.helperRates[s.actions[i]]
 		s.rates[i] = r
-		st.welfare += r
+		welfare += r
 		if p.demand > 0 {
-			st.demandSum += p.demand
+			demandSum += p.demand
 			if short := p.demand - r; short > 0 {
-				st.serverLoad += short
+				serverLoad += short
 			}
 		}
+		// The selector is fed its own (view-local) action back; the
+		// realized rate was routed through the global id above.
 		act := s.actions[i]
 		if p.view != nil {
 			act = s.viewActions[i]
 		}
-		if uerr := p.feedback(act, r/s.scale); uerr != nil && st.err == nil {
-			st.err = feedbackErr(i, uerr)
+		if err := p.feedback(act, r/s.scale); err != nil && st.err == nil {
+			st.err = feedbackErr(i, err)
 		}
 	}
+	st.welfare, st.serverLoad, st.demandSum = welfare, serverLoad, demandSum
 }
 
 // selectionErr builds the invalid-selection errors off the hot path
@@ -1021,28 +959,13 @@ func feedbackErr(i int, err error) error {
 	return fmt.Errorf("core: peer %d feedback: %w", i, err)
 }
 
-// runShards executes fn(k) for every shard k. Large populations fan out to
-// one goroutine per shard; small ones — and any population when the
-// process has a single scheduler core, where goroutines cannot actually
-// run in parallel — run inline. The per-shard RNG streams make both
-// execution modes produce identical results, so the gate is purely a
-// scheduling decision (pinned by TestParallelInlineMatchesGoroutines).
+// runShards executes fn(k) for every shard k, fanning out to one goroutine
+// per shard once every shard holds shardMinPeers peers (fanout.Run adds the
+// other conditions). The per-shard RNG streams make inline and spawned
+// execution produce identical results, so the gate is purely a scheduling
+// decision (pinned by TestParallelInlineMatchesGoroutines).
 func (s *System) runShards(fn func(k int)) {
-	if s.maxProcs == 1 || len(s.peers) < s.workers*s.shardMinPeers {
-		for k := 0; k < s.workers; k++ {
-			fn(k)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(s.workers)
-	for k := 0; k < s.workers; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k)
-		}(k)
-	}
-	wg.Wait()
+	fanout.Run(len(s.shards), len(s.peers) >= len(s.shards)*shardMinPeers, fn)
 }
 
 // takeShardErr returns (and clears) the first shard error in shard order.
@@ -1316,8 +1239,8 @@ func (s *System) AddHelper(spec HelperSpec) error {
 	s.caps = append(s.caps, 0)
 	s.helperRates = append(s.helperRates, 0)
 	s.capScratch = append(s.capScratch, 0)
-	for k := range s.shardLoads {
-		s.shardLoads[k] = append(s.shardLoads[k], 0)
+	for k := range s.shards {
+		s.shards[k].loads = append(s.shards[k].loads, 0)
 	}
 	if s.viewMaster != nil {
 		s.viewMark = append(s.viewMark, false)
@@ -1431,8 +1354,8 @@ func (s *System) RemoveHelper(j int) error {
 	s.caps = s.caps[:len(s.helpers)]
 	s.helperRates = s.helperRates[:len(s.helpers)]
 	s.capScratch = s.capScratch[:len(s.helpers)]
-	for k := range s.shardLoads {
-		s.shardLoads[k] = s.shardLoads[k][:len(s.helpers)]
+	for k := range s.shards {
+		s.shards[k].loads = s.shards[k].loads[:len(s.helpers)]
 	}
 	if s.viewMaster != nil {
 		s.viewMark = s.viewMark[:len(s.helpers)]

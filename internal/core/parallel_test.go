@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"rths/internal/metrics"
+	"rths/internal/xrand"
 )
 
 func workersConfig(n, h, workers int, seed uint64) Config {
@@ -87,30 +90,35 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// The inline (small-N) and goroutine (large-N) executions of the sharded
-// engine consume the same per-shard RNG streams in the same order, so they
-// must produce bit-identical results.
+// setGOMAXPROCS sets GOMAXPROCS for the rest of the test and restores the
+// previous value when the test ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// The inline and goroutine executions of the sharded engine consume the
+// same per-shard RNG streams in the same order, so they must produce
+// bit-identical results. GOMAXPROCS=1 forces inline shards; at
+// GOMAXPROCS=2 the shards, each at the fan-out threshold, run on
+// goroutines that really execute in parallel on a multi-core host.
 func TestParallelInlineMatchesGoroutines(t *testing.T) {
-	collect := func(minPerShard int) []float64 {
-		cfg := workersConfig(256, 5, 4, 7)
-		cfg.ShardMinPeers = minPerShard
-		s, err := New(cfg)
+	const workers = 4
+	collect := func(procs int) []float64 {
+		setGOMAXPROCS(t, procs)
+		s, err := New(workersConfig(workers*shardMinPeers, 5, workers, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Force the GOMAXPROCS side of the gate open so the goroutine
-		// branch is really exercised even on a single-core host (the
-		// spawned goroutines then just time-slice — same streams, same
-		// results, which is exactly the property under test).
-		s.maxProcs = 2
 		var welfare []float64
 		if err := s.Run(50, func(r StageResult) { welfare = append(welfare, r.Welfare) }); err != nil {
 			t.Fatal(err)
 		}
 		return welfare
 	}
-	inline := collect(1 << 30) // force inline shards
-	spawned := collect(1)      // force goroutine fan-out
+	inline := collect(1)
+	spawned := collect(2)
 	for i := range inline {
 		if inline[i] != spawned[i] {
 			t.Fatalf("stage %d: inline %g vs goroutines %g", i, inline[i], spawned[i])
@@ -235,6 +243,47 @@ func TestParallelPropagatesSelectorErrors(t *testing.T) {
 	}
 	if err := s.Run(1, nil); err == nil {
 		t.Fatal("invalid shard selector action not reported")
+	}
+}
+
+// countingSelector counts its Select calls and, when bad, selects an
+// out-of-range helper.
+type countingSelector struct {
+	bad   bool
+	calls *int
+}
+
+func (c countingSelector) Select(*xrand.Rand) int {
+	*c.calls++
+	if c.bad {
+		return 7
+	}
+	return 0
+}
+func (countingSelector) Update(int, float64) error { return nil }
+func (countingSelector) NumActions() int           { return 2 }
+
+// An invalid selection does not stop the pass: every peer still selects,
+// and the stage returns the first failing peer's error, on one shard as on
+// several.
+func TestSelectorErrorFinishesPass(t *testing.T) {
+	for _, workers := range []int{0, 3} {
+		calls := 0
+		cfg := workersConfig(6, 2, workers, 1)
+		cfg.Factory = func(i, _ int, _ float64) (Selector, error) {
+			return countingSelector{bad: i == 1 || i == 4, calls: &calls}, nil
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Step()
+		if err == nil || !strings.Contains(err.Error(), "peer 1 ") {
+			t.Fatalf("workers=%d: error %v, want peer 1's", workers, err)
+		}
+		if calls != 6 {
+			t.Fatalf("workers=%d: %d of 6 peers selected", workers, calls)
+		}
 	}
 }
 
