@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
 
+	"rths/internal/telemetry"
 	"rths/internal/trace"
 )
 
@@ -83,6 +86,80 @@ func TestMemoryWorkersReplayAcrossGOMAXPROCS(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		if got := replayDigest(t, BackendMemory, 2); got != goldenReplayDigest {
 			t.Errorf("GOMAXPROCS=%d: replay digest %s, want %s", procs, got, goldenReplayDigest)
+		}
+	}
+}
+
+// goldenFaultsDigests pins the golden fault scenario (see faultsDigest),
+// one SHA-256 per late-batch semantics. It covers the faulty distsim path
+// — drops, late batches, the crash and partition windows, and the
+// failure detector's evictions and readmissions — that the zero-loss
+// replay digest never exercises.
+var goldenFaultsDigests = []struct {
+	queueing bool
+	digest   string
+}{
+	{true, "401f7616add64578d2e31f38c92bd0122deea4e4663857af19d37289da87b60e"},
+}
+
+// goldenFaultsEpochs is the golden fault scenario's length in epochs
+// (120 stages: the crash 25–55 and the partition 40–80 both close inside).
+const goldenFaultsEpochs = 12
+
+// faultsDigest runs faultConfig — lossy links, one crash window, one
+// partition, the failure detector, series samples every 10 stages — with
+// the given FaultPlan.Queueing and channel worker count, and hashes every
+// EpochMetrics JSON record and the bytes of the lifecycle trace.
+func faultsDigest(t *testing.T, queueing bool, workers int) string {
+	t.Helper()
+	var trace bytes.Buffer
+	cfg := faultConfig(211, true)
+	cfg.Faults.Queueing = queueing
+	cfg.Workers = workers
+	cfg.Trace = telemetry.NewTracer(&trace)
+	cfg.SeriesEvery = 10
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := sha256.New()
+	var evicted, readmitted, late, faults int
+	var recErr error
+	err = c.Run(goldenFaultsEpochs, func(m EpochMetrics) {
+		rec, err := json.Marshal(m)
+		if err != nil {
+			recErr = err
+		}
+		h.Write(append(rec, '\n'))
+		evicted += m.Evicted
+		readmitted += m.Readmitted
+		late += m.LateServed
+		faults += m.FaultMsgs
+	})
+	if err == nil {
+		err = recErr
+	}
+	if err == nil {
+		err = cfg.Trace.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evicted == 0 || readmitted == 0 || faults == 0 || (late > 0) != queueing {
+		t.Fatalf("queueing=%v: golden fault scenario inert (evicted=%d readmitted=%d fault_msgs=%d late_served=%d)",
+			queueing, evicted, readmitted, faults, late)
+	}
+	h.Write(trace.Bytes())
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenFaultsDigest pins the faulty distsim path to committed
+// digests inside go test, not only in the benchmark module.
+func TestGoldenFaultsDigest(t *testing.T) {
+	for _, g := range goldenFaultsDigests {
+		if got := faultsDigest(t, g.queueing, 0); got != g.digest {
+			t.Errorf("queueing=%v: faults digest %s, want %s", g.queueing, got, g.digest)
 		}
 	}
 }
