@@ -100,6 +100,9 @@ var goldenFaultsDigests = []struct {
 	digest   string
 }{
 	{true, "401f7616add64578d2e31f38c92bd0122deea4e4663857af19d37289da87b60e"},
+	// Under loss semantics the detector readmits helper 66 to channel 2
+	// at the stage-70 boundary that also moves it to channel 1.
+	{false, "c77427a2859cf5bf0419031505b8d9545343e4180ed8c419e8d78ae17dd27da5"},
 }
 
 // goldenFaultsEpochs is the golden fault scenario's length in epochs

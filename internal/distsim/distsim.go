@@ -288,13 +288,15 @@ type msgKind uint8
 
 const (
 	msgAttach msgKind = iota
-	msgOwner
 	msgStop
 )
 
 // helperMsg is the union message type of a helper node's inbox: one attach
-// batch per round from the owning manager, ownership transfers at
-// migration boundaries, and the shutdown sentinel.
+// batch per round from the owning manager, and the shutdown sentinel. The
+// batch carries the owner's pool-slot state (the bandwidth process its
+// channel drew for the helper, and its reply route), so a helper gained
+// and lost by different managers in one round is only ever stepped and
+// answered on behalf of the channel that still holds it.
 type helperMsg struct {
 	kind   msgKind
 	round  int
@@ -344,14 +346,12 @@ type reportMsg struct {
 	err     error
 }
 
-// helperNode owns one pool helper's bandwidth process. It serves exactly
-// one attach batch per round from whichever manager currently owns it.
+// helperNode is one pool helper's reply endpoint: it owns the helper's
+// reply-link stream, which survives migrations, and serves exactly one
+// attach batch per round from whichever manager currently owns it.
 type helperNode struct {
 	id      int
 	inbox   chan helperMsg
-	levels  []float64
-	proc    *markov.Process
-	reply   chan<- replyMsg
 	link    LinkModel
 	linkRng *xrand.Rand
 }
@@ -362,30 +362,30 @@ func (n *helperNode) run() {
 		switch msg.kind {
 		case msgStop:
 			return
-		case msgOwner:
-			// Migration hand-off: fresh process (built from the gaining
-			// channel's stream), fresh reply route.
-			n.proc, n.levels, n.reply = msg.proc, msg.levels, msg.reply
 		case msgAttach:
 			// The environment moves once per round regardless of load or
 			// link fate.
-			n.proc.Step()
-			capacity := n.levels[n.proc.State()]
+			msg.proc.Step()
+			capacity := msg.levels[msg.proc.State()]
 			rep := replyMsg{helper: n.id, round: msg.round, capacity: capacity}
 			if n.link != nil {
 				delay, drop := n.link.Deliver(n.linkRng, msg.round)
 				rep.dropped = drop
 				rep.late = !drop && delay > 0
 			}
-			n.reply <- rep
+			msg.reply <- rep
 		}
 	}
 }
 
-// poolHelper is a manager's handle on one of its pool helpers.
+// poolHelper is a manager's pool slot: the helper's global id, its node,
+// and the bandwidth process this channel drew for it (shared with the
+// channel's core.System).
 type poolHelper struct {
-	id   int
-	node *helperNode
+	id     int
+	node   *helperNode
+	proc   *markov.Process
+	levels []float64
 }
 
 // manager is one channel-manager node: it hosts the channel's peers
@@ -505,19 +505,16 @@ func (m *manager) applyOps(ops []op) {
 				return
 			}
 			local := m.sys.NumHelpers() - 1
-			// Ownership hand-off: the helper node gets the fresh process
-			// (drawn from this channel's stream, exactly as the
-			// shared-memory engine's AddHelper does) and this manager's
-			// reply route. Channel-send ordering guarantees the node sees
-			// the hand-off before this round's attach batch.
-			o.node.inbox <- helperMsg{
-				kind:   msgOwner,
+			// Ownership hand-off: the pool slot takes the fresh process,
+			// drawn from this channel's stream exactly as the shared-memory
+			// engine's AddHelper does, and ships it with every attach batch.
+			m.out.Msgs++ // ownership hand-off
+			m.pool = append(m.pool, poolHelper{
+				id:     o.helper,
+				node:   o.node,
 				proc:   m.sys.HelperProcess(local),
 				levels: m.sys.HelperLevels(local),
-				reply:  m.replies,
-			}
-			m.out.Msgs++ // ownership hand-off
-			m.pool = append(m.pool, poolHelper{id: o.helper, node: o.node})
+			})
 			m.batch = append(m.batch, nil)
 			m.caps = append(m.caps, 0)
 			m.ok = append(m.ok, false)
@@ -608,7 +605,8 @@ func (m *manager) stepRound(round int) {
 		}
 		m.ok[j] = !failed
 		m.lateJ[j] = late
-		ph.node.inbox <- helperMsg{kind: msgAttach, round: round, peers: m.batch[j], failed: failed}
+		ph.node.inbox <- helperMsg{kind: msgAttach, round: round, peers: m.batch[j], failed: failed,
+			proc: ph.proc, levels: ph.levels, reply: m.replies}
 	}
 	for range m.pool {
 		rep := <-m.replies
@@ -878,15 +876,17 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		for local, h := range ids {
 			node := &helperNode{
-				id:     h,
-				inbox:  make(chan helperMsg, 4),
-				levels: sys.HelperLevels(local),
-				proc:   sys.HelperProcess(local),
-				reply:  m.replies,
-				link:   cfg.Link,
+				id:    h,
+				inbox: make(chan helperMsg, 4),
+				link:  cfg.Link,
 			}
 			rt.nodes[h] = node
-			m.pool = append(m.pool, poolHelper{id: h, node: node})
+			m.pool = append(m.pool, poolHelper{
+				id:     h,
+				node:   node,
+				proc:   sys.HelperProcess(local),
+				levels: sys.HelperLevels(local),
+			})
 		}
 		rt.managers = append(rt.managers, m)
 	}

@@ -531,3 +531,55 @@ type rogueSelector struct{ m int }
 func (r rogueSelector) Select(*xrand.Rand) int                   { return 99 }
 func (r rogueSelector) Update(action int, utility float64) error { return nil }
 func (r rogueSelector) NumActions() int                          { return r.m }
+
+// TestHelperGainedAndLostInOneRound pins the hand-off when a helper is
+// added to two channels in one round and removed from one of them — what
+// internal/cluster queues when the failure detector readmits a helper at
+// the same boundary that re-allocation moves it. Only the channel that
+// keeps the helper may step it, and it must step its own freshly drawn
+// process: every reported capacity is the level of the owning system's
+// process state.
+func TestHelperGainedAndLostInOneRound(t *testing.T) {
+	cfg := fourChannelConfig(12)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	// Channel 0's pool is [0, 4]: orphan helper 0 first, as an eviction does.
+	if err := rt.RemoveHelper(0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.StepRound(); err != nil {
+		t.Fatal(err)
+	}
+	// Readmit to channel 0 (pool [4, 0]), move to channel 1, drop from 0.
+	spec := cfg.Helpers[0]
+	for _, step := range []func() error{
+		func() error { return rt.AddHelper(0, 0, spec) },
+		func() error { return rt.AddHelper(1, 0, spec) },
+		func() error { return rt.RemoveHelper(0, 1, 0) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		stats, err := rt.StepRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Channels[1].PoolIDs; len(got) != 3 || got[2] != 0 {
+			t.Fatalf("round %d: channel 1 pool %v, want [1 5 0]", round, got)
+		}
+		for ci, m := range rt.managers {
+			for j, c := range stats.Channels[ci].Capacities {
+				proc := m.sys.HelperProcess(j)
+				if want := m.sys.HelperLevels(j)[proc.State()]; c != want {
+					t.Fatalf("round %d channel %d slot %d: capacity %g, owner's process reads %g",
+						round, ci, j, c, want)
+				}
+			}
+		}
+	}
+}
