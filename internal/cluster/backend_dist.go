@@ -41,6 +41,7 @@ func newDistBackend(cfg Config, assign []int, seeds []uint64, scale, startup flo
 		Link:         cfg.Link,
 		LinkSeed:     cfg.LinkSeed,
 		Faults:       cfg.Faults,
+		Workers:      cfg.Workers,
 		BatchSizes:   batchSizes,
 		Spans:        spans,
 	})

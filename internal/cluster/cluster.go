@@ -11,12 +11,13 @@
 //   - The stage loop steps every channel. Channels are independent systems
 //     with private RNG streams, so the director hands each stage to a
 //     pluggable execution backend: the shared-memory backend steps channels
-//     in parallel on a worker pool (channel ci belongs to shard ci mod
-//     Workers), the distsim backend runs them as message-passing nodes on
-//     internal/distsim. Per-epoch aggregates are reduced in channel-index
-//     order either way, so results are bit-identical for every Workers
-//     value AND for both backends at zero link latency/drop (pinned by
-//     TestDeterministicAcrossWorkers and TestDistsimBackendBitIdentical).
+//     as core.Systems, the distsim backend as message-passing nodes on
+//     internal/distsim; both run channel ci on worker ci mod Workers
+//     through the same fan-out. Per-epoch aggregates are reduced in
+//     channel-index order either way, so results are bit-identical for
+//     every Workers value AND for both backends at zero link latency/drop
+//     (pinned by TestDeterministicAcrossWorkers and
+//     TestDistsimBackendBitIdentical).
 //
 //   - The churn surface addresses viewers by global id: Join/Leave/Switch
 //     (and Apply for trace events) mutate membership between stages, and
@@ -97,8 +98,7 @@ const (
 	// BackendDistsim runs every channel as a manager node and every helper
 	// as its own node on the batched message-passing runtime
 	// (internal/distsim). At zero link latency/drop the per-epoch metrics
-	// are bit-identical to BackendMemory. Call Cluster.Close to join the
-	// node goroutines.
+	// are bit-identical to BackendMemory.
 	BackendDistsim
 )
 
@@ -157,9 +157,7 @@ type Config struct {
 	InitialAssign []int
 	// Allocator picks the re-allocation policy (default AllocGreedy).
 	Allocator AllocatorKind
-	// Backend picks the execution backend (default BackendMemory). With
-	// BackendDistsim, call Cluster.Close when done to join the node
-	// goroutines.
+	// Backend picks the execution backend (default BackendMemory).
 	Backend BackendKind
 	// EpochStages is the number of stages between re-allocation epochs
 	// (default 50).
@@ -169,20 +167,19 @@ type Config struct {
 	// strict improvement triggers migration; ties never migrate, so a
 	// steady workload reaches a fixed assignment and stops churning.
 	Hysteresis float64
-	// Workers sizes the shared-memory backend's channel-stepping worker
-	// pool. Results are bit-identical for every Workers value: parallelism
-	// is across channels, which never share an RNG stream, and reductions
-	// run in channel order. 0 or 1 steps serially. Ignored by
-	// BackendDistsim (its parallelism is one goroutine per node).
+	// Workers sizes the channel-stepping worker pool of either backend:
+	// channel ci steps on worker ci mod Workers (on BackendDistsim, its
+	// manager node does). Results are bit-identical for every Workers
+	// value: parallelism is across channels, which never share an RNG
+	// stream, and reductions run in channel order. 0 or 1 steps serially.
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64
 	// Factory builds selection policies (nil = RTHS learners). Policies
 	// must implement core.DynamicSelector for helper migration to work.
-	// With BackendDistsim the factory is called from channel-manager
-	// goroutines — different channels concurrently — so it must be safe
-	// for concurrent use (stateless factories, like every factory in this
-	// repository, are).
+	// With Workers > 1 the factory is called from several channel
+	// workers concurrently, so it must be safe for concurrent use
+	// (stateless factories, like every factory in this repository, are).
 	Factory core.SelectorFactory
 	// Switching enables Markov channel-switching viewers (nil disables).
 	Switching *SwitchingConfig
@@ -396,7 +393,7 @@ type backend interface {
 	// attribution and the cumulative barrier tax; ok is false when the
 	// backend doesn't profile rounds (shared memory, or spans disabled).
 	roundProfile() (p distsim.RoundProfile, barrierTax float64, ok bool)
-	// close releases backend resources (joins node goroutines on distsim).
+	// close releases the backend; later steps fail on distsim.
 	close() error
 }
 
@@ -793,8 +790,8 @@ func (c *Cluster) Assignment() alloc.Assignment {
 	return append(alloc.Assignment(nil), c.assign...)
 }
 
-// Close releases the execution backend. It is required for BackendDistsim
-// (the node goroutines are joined) and a no-op for BackendMemory.
+// Close releases the execution backend: on BackendDistsim later stages
+// fail; on BackendMemory it is a no-op.
 func (c *Cluster) Close() error { return c.backend.close() }
 
 // MaxDeficit evaluates the current assignment against the channels'

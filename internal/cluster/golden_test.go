@@ -127,7 +127,7 @@ func faultsDigest(t *testing.T, queueing bool, workers int) string {
 	}
 	defer c.Close()
 	h := sha256.New()
-	var evicted, readmitted, late, faults int
+	var evicted, readmitted, late, faults, moves int
 	var recErr error
 	err = c.Run(goldenFaultsEpochs, func(m EpochMetrics) {
 		rec, err := json.Marshal(m)
@@ -139,6 +139,7 @@ func faultsDigest(t *testing.T, queueing bool, workers int) string {
 		readmitted += m.Readmitted
 		late += m.LateServed
 		faults += m.FaultMsgs
+		moves += m.Moves
 	})
 	if err == nil {
 		err = recErr
@@ -149,9 +150,9 @@ func faultsDigest(t *testing.T, queueing bool, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evicted == 0 || readmitted == 0 || faults == 0 || (late > 0) != queueing {
-		t.Fatalf("queueing=%v: golden fault scenario inert (evicted=%d readmitted=%d fault_msgs=%d late_served=%d)",
-			queueing, evicted, readmitted, faults, late)
+	if evicted == 0 || readmitted == 0 || faults == 0 || moves == 0 || (late > 0) != queueing {
+		t.Fatalf("queueing=%v: golden fault scenario inert (evicted=%d readmitted=%d fault_msgs=%d helper_moves=%d late_served=%d)",
+			queueing, evicted, readmitted, faults, moves, late)
 	}
 	h.Write(trace.Bytes())
 	return hex.EncodeToString(h.Sum(nil))
@@ -163,6 +164,28 @@ func TestGoldenFaultsDigest(t *testing.T) {
 	for _, g := range goldenFaultsDigests {
 		if got := faultsDigest(t, g.queueing, 0); got != g.digest {
 			t.Errorf("queueing=%v: faults digest %s, want %s", g.queueing, got, g.digest)
+		}
+	}
+}
+
+// TestDistsimWorkersGoldenAcrossGOMAXPROCS runs the distsim backend with
+// two channel workers on the golden replay scenario and the golden fault
+// scenarios. At GOMAXPROCS=1 the managers run inline; at GOMAXPROCS=2
+// they run on two goroutines, with helper hand-offs (re-allocation moves,
+// detector evictions and readmissions) landing while other managers
+// step. Both must reproduce the committed digests.
+func TestDistsimWorkersGoldenAcrossGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := replayDigest(t, BackendDistsim, 2); got != goldenReplayDigest {
+			t.Errorf("GOMAXPROCS=%d: replay digest %s, want %s", procs, got, goldenReplayDigest)
+		}
+		for _, g := range goldenFaultsDigests {
+			if got := faultsDigest(t, g.queueing, 2); got != g.digest {
+				t.Errorf("GOMAXPROCS=%d queueing=%v: faults digest %s, want %s", procs, g.queueing, got, g.digest)
+			}
 		}
 	}
 }

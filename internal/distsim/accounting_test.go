@@ -104,9 +104,7 @@ func TestRoundAccountingMigration(t *testing.T) {
 
 // A RemoveHelper whose local slot does not hold the named helper must
 // fail the channel, not remove whatever the slot holds: the silent path
-// leaves the named node owned by two managers at once, and the stale
-// owner's reply can be routed to the new owner mid-round — a protocol
-// deadlock rather than a wrong metric.
+// leaves the named node in two pools at once, served twice a round.
 func TestRemoveHelperSlotMismatchErrors(t *testing.T) {
 	cfg := fourChannelConfig(6)
 	rt, err := New(cfg)

@@ -2,46 +2,54 @@
 // multi-channel helper-selection deployment — many channels, one shared
 // helper pool, helper re-allocation epochs — as communicating nodes, while
 // keeping the per-round message count at O(helpers + channels) instead of
-// the O(peers) a runtime with one goroutine per peer would pay.
+// the O(peers) a runtime with one node per peer would pay.
+//
+// Nodes are deterministic state machines driven by one coordinator: a
+// message is a method call, so a round costs no scheduler handoffs, and
+// the message count is logical accounting (ChannelRound.Msgs) of the
+// protocol the calls stand for.
 //
 // # Node roles
 //
-//   - A channel-manager node per channel (one goroutine each) hosts the
-//     channel's peers: their selection policies, playout buffers, and the
-//     channel's private random stream. Peers are simulated in the manager
-//     because a per-peer goroutine buys no fidelity — the paper's
-//     zero-knowledge property is enforced by the bandit feedback each
-//     policy receives, not by the process boundary — and costs one channel
-//     send per peer per round.
-//   - A helper node per pool helper (one goroutine each) owns the helper's
-//     Markov bandwidth process. Its inbox receives exactly one slice-valued
-//     attach batch per round — the list of local peers its owning channel
-//     attached this round — and it replies with its realized capacity.
-//   - The coordinator (the caller's goroutine, driving StepRound) ticks the
-//     managers, collects one report per channel, and applies queued
-//     membership/migration ops. Helper re-allocation executes as control
-//     messages: the gaining manager builds the helper's fresh bandwidth
-//     process and ships it to the helper node together with the manager's
-//     reply channel — an ownership hand-off, no shared state.
+//   - A channel-manager node per channel hosts the channel's peers: their
+//     selection policies, playout buffers, and the channel's private
+//     random stream. Peers are simulated in the manager because a
+//     per-peer node buys no fidelity — the paper's zero-knowledge
+//     property is enforced by the bandit feedback each policy receives,
+//     not by a process boundary.
+//   - A helper node per pool helper owns the helper's reply link and its
+//     random stream, which survive migrations. Each round it is served
+//     one attach batch by its owning manager, advances the bandwidth
+//     process that manager's channel drew for it, and replies with its
+//     realized capacity.
+//   - The coordinator (the caller's goroutine, driving StepRound) runs
+//     the managers through fanout.Run — channel ci on worker ci mod
+//     Workers — and merges their reports in channel order. Helper
+//     re-allocation is an ownership hand-off: the gaining manager builds
+//     the helper's fresh bandwidth process from its own stream and takes
+//     the node into its pool; the losing manager drops it from its pool.
 //
 // # Round protocol
 //
 // Rounds are synchronous, matching the repeated-game model. For a round:
 //
-//  1. the coordinator sends each manager a tick carrying the round's
-//     queued ops (joins, departures, helper migrations) — O(channels);
+//  1. the coordinator ticks each manager with the round's queued ops
+//     (joins, departures, helper migrations) — O(channels);
 //  2. each manager applies its ops, runs the selection pass over its
-//     peers, and sends each pool helper one attach batch — O(helpers)
-//     across all managers, each batch a single slice-valued message;
-//  3. each helper node advances its bandwidth chain once, serves the
-//     batch, and replies with its capacity — O(helpers);
+//     peers, and serves each pool helper one attach batch — O(helpers)
+//     across all managers, each batch one message standing for all the
+//     peers that attached to that helper;
+//  3. each helper advances its bandwidth chain once and replies with its
+//     capacity — O(helpers);
 //  4. each manager realizes rates (C_j/load_j via core.FinishStage — the
 //     exact arithmetic of the shared-memory engine), feeds its learners,
 //     ticks playout buffers, and reports the round's channel aggregates to
 //     the coordinator — O(channels).
 //
-// Every send targets a buffered channel sized to the protocol's bound, so
-// the system cannot deadlock; all goroutines are joined by Close.
+// A manager's round touches only its own channel and the helper nodes in
+// its pool, and a node sits in at most one pool once a round's ops apply,
+// so the managers of one round share no state: running them inline or in
+// parallel gives bit-identical results.
 //
 // # Latency, drops, and faults
 //
@@ -68,9 +76,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"rths/internal/core"
+	"rths/internal/fanout"
 	"rths/internal/markov"
 	"rths/internal/streaming"
 	"rths/internal/telemetry"
@@ -129,11 +137,16 @@ type Config struct {
 	// consumed identically with and without a plan, so adding faults
 	// never perturbs the surviving traffic's randomness.
 	Faults *FaultPlan
+	// Workers sizes the channel-stepping worker pool: manager ci runs on
+	// worker ci mod Workers (see StepRound). 0 or 1 runs every manager
+	// inline in channel order. Results are bit-identical for every
+	// Workers value.
+	Workers int
 	// BatchSizes is an optional size histogram for attach-batch sizes
-	// (peers per batch). Each manager fills a private same-bucket twin on
-	// its own goroutine and the coordinator merges the twins in channel
-	// order once the round's managers are quiescent, so the merged counts
-	// are deterministic. Nil disables the instrument.
+	// (peers per batch). Each manager fills a private same-bucket twin
+	// and the coordinator merges the twins in channel order once the
+	// round's managers are done, so the merged counts are deterministic
+	// for every Workers value. Nil disables the instrument.
 	BatchSizes *telemetry.Histogram
 	// Spans, when set, enables round-span profiling: each manager stamps
 	// its processing window (monotonic nanoseconds) on its ChannelRound,
@@ -144,8 +157,9 @@ type Config struct {
 	Spans *telemetry.Recorder
 	// SpanClock overrides the monotonic clock used for span timestamps
 	// (nil = telemetry.MonotonicNow) — the seam tests use to feed
-	// synthetic, deterministic span durations. Called from every manager
-	// goroutine, so it must be safe for concurrent use. Setting
+	// synthetic, deterministic span durations. With Workers > 1 it is
+	// called from several workers at once, so it must be safe for
+	// concurrent use. Setting
 	// SpanClock alone (Spans nil) still enables profiling.
 	SpanClock func() int64
 }
@@ -284,33 +298,8 @@ func profileRound(p *RoundProfile, round int, wall, scratch []int64) {
 	}
 }
 
-type msgKind uint8
-
-const (
-	msgAttach msgKind = iota
-	msgStop
-)
-
-// helperMsg is the union message type of a helper node's inbox: one attach
-// batch per round from the owning manager, and the shutdown sentinel. The
-// batch carries the owner's pool-slot state (the bandwidth process its
-// channel drew for the helper, and its reply route), so a helper gained
-// and lost by different managers in one round is only ever stepped and
-// answered on behalf of the channel that still holds it.
-type helperMsg struct {
-	kind   msgKind
-	round  int
-	peers  []int32 // attach batch: local peer indices, batched per round
-	failed bool    // link verdict: dropped or past the round deadline
-	proc   *markov.Process
-	levels []float64
-	reply  chan<- replyMsg
-}
-
-// replyMsg is a helper node's per-round reply to its owning manager.
+// replyMsg is a helper's per-round capacity reply to its owning manager.
 type replyMsg struct {
-	helper   int
-	round    int
 	capacity float64
 	dropped  bool
 	late     bool
@@ -335,47 +324,11 @@ type op struct {
 	node   *helperNode
 }
 
-type tickMsg struct {
-	round int
-	ops   []op
-	stop  bool
-}
-
-type reportMsg struct {
-	channel int
-	err     error
-}
-
-// helperNode is one pool helper's reply endpoint: it owns the helper's
-// reply-link stream, which survives migrations, and serves exactly one
-// attach batch per round from whichever manager currently owns it.
+// helperNode is one pool helper's reply endpoint. It owns the helper's
+// reply-link stream, which survives migrations.
 type helperNode struct {
-	id      int
-	inbox   chan helperMsg
 	link    LinkModel
 	linkRng *xrand.Rand
-}
-
-func (n *helperNode) run() {
-	for {
-		msg := <-n.inbox
-		switch msg.kind {
-		case msgStop:
-			return
-		case msgAttach:
-			// The environment moves once per round regardless of load or
-			// link fate.
-			msg.proc.Step()
-			capacity := msg.levels[msg.proc.State()]
-			rep := replyMsg{helper: n.id, round: msg.round, capacity: capacity}
-			if n.link != nil {
-				delay, drop := n.link.Deliver(n.linkRng, msg.round)
-				rep.dropped = drop
-				rep.late = !drop && delay > 0
-			}
-			msg.reply <- rep
-		}
-	}
 }
 
 // poolHelper is a manager's pool slot: the helper's global id, its node,
@@ -388,9 +341,26 @@ type poolHelper struct {
 	levels []float64
 }
 
+// serve is the helper's side of one round's exchange: it advances the
+// bandwidth chain once — the environment moves regardless of load or
+// link fate — reads the realized capacity, and draws its reply's link
+// verdict from the node's own stream.
+//
+//rths:hotpath
+func (ph *poolHelper) serve(round int) replyMsg {
+	ph.proc.Step()
+	rep := replyMsg{capacity: ph.levels[ph.proc.State()]}
+	if n := ph.node; n.link != nil {
+		delay, drop := n.link.Deliver(n.linkRng, round)
+		rep.dropped = drop
+		rep.late = !drop && delay > 0
+	}
+	return rep
+}
+
 // manager is one channel-manager node: it hosts the channel's peers
-// (selection policies, buffers) and speaks the batched protocol with its
-// pool helpers and the coordinator.
+// (selection policies, buffers) and runs the channel's side of each round
+// against its pool helpers.
 type manager struct {
 	id      int
 	name    string
@@ -400,10 +370,6 @@ type manager struct {
 	startup float64
 	bufs    []*streaming.Buffer
 	pool    []poolHelper
-
-	tick    chan tickMsg
-	replies chan replyMsg
-	reports chan<- reportMsg
 	out     *ChannelRound
 
 	link    LinkModel
@@ -412,11 +378,7 @@ type manager struct {
 	faults   *FaultPlan
 	queueing bool
 
-	batch [][]int32 // reusable per-helper attach lists
-	caps  []float64 // per-helper realized capacities
-	ok    []bool    // per-helper link success this round
-
-	down     []bool    // per-helper fault-plan verdict this round
+	caps     []float64 // per-helper realized capacities
 	lateJ    []bool    // per-helper queued-late verdict this round
 	poolIDs  []int     // per-helper global ids, rebuilt each round
 	missed   []bool    // per-helper failed-exchange ledger, rebuilt each round
@@ -431,34 +393,28 @@ type manager struct {
 	// enabled (nil otherwise — spans stay zero).
 	clock func() int64
 
-	err error // sticky: a failed manager keeps the protocol alive but inert
+	err error // sticky: a failed manager keeps reporting, but inert
 }
 
-func (m *manager) run() {
-	for {
-		t := <-m.tick
-		if t.stop {
-			// Node shutdown is the coordinator's job (Close stops every
-			// helper node directly), so a manager whose ownership
-			// bookkeeping died mid-migration cannot orphan a node.
-			return
-		}
-		// Full reset: a failed channel reports zeros, not its last good
-		// round (struct assignment only rewrites headers — no allocation).
-		*m.out = ChannelRound{Name: m.name}
-		if m.clock != nil {
-			m.out.StartNs = m.clock()
-		}
-		if m.err == nil {
-			m.applyOps(t.ops)
-		}
-		if m.err == nil {
-			m.stepRound(t.round)
-		}
-		if m.clock != nil {
-			m.out.EndNs = m.clock()
-		}
-		m.reports <- reportMsg{channel: m.id, err: m.err}
+// round runs the channel's part of one protocol round: apply the queued
+// ops, then step, stamping the span window around both.
+//
+//rths:hotpath
+func (m *manager) round(round int, ops []op) {
+	// Full reset: a failed channel reports zeros, not its last good
+	// round (struct assignment only rewrites headers — no allocation).
+	*m.out = ChannelRound{Name: m.name}
+	if m.clock != nil {
+		m.out.StartNs = m.clock()
+	}
+	if m.err == nil && len(ops) > 0 {
+		m.applyOps(ops)
+	}
+	if m.err == nil {
+		m.stepRound(round)
+	}
+	if m.clock != nil {
+		m.out.EndNs = m.clock()
 	}
 }
 
@@ -507,7 +463,7 @@ func (m *manager) applyOps(ops []op) {
 			local := m.sys.NumHelpers() - 1
 			// Ownership hand-off: the pool slot takes the fresh process,
 			// drawn from this channel's stream exactly as the shared-memory
-			// engine's AddHelper does, and ships it with every attach batch.
+			// engine's AddHelper does.
 			m.out.Msgs++ // ownership hand-off
 			m.pool = append(m.pool, poolHelper{
 				id:     o.helper,
@@ -515,19 +471,14 @@ func (m *manager) applyOps(ops []op) {
 				proc:   m.sys.HelperProcess(local),
 				levels: m.sys.HelperLevels(local),
 			})
-			m.batch = append(m.batch, nil)
 			m.caps = append(m.caps, 0)
-			m.ok = append(m.ok, false)
-			m.down = append(m.down, false)
 			m.lateJ = append(m.lateJ, false)
 			m.poolIDs = append(m.poolIDs, o.helper)
 			m.missed = append(m.missed, false)
 		case opRemoveHelper:
 			// The global id must corroborate the local index: removing the
-			// wrong pool slot would leave the named node owned by two
-			// managers at once, and the stale owner's round-reply can then
-			// be routed to the new owner — a protocol deadlock, not just a
-			// wrong metric. Fail the channel instead.
+			// wrong pool slot would leave the named node in two pools at
+			// once, served twice a round. Fail the channel instead.
 			if o.local < 0 || o.local >= len(m.pool) || m.pool[o.local].id != o.helper {
 				held := -1
 				if o.local >= 0 && o.local < len(m.pool) {
@@ -541,14 +492,8 @@ func (m *manager) applyOps(ops []op) {
 				m.err = fmt.Errorf("distsim: channel %q lose helper %d: %w", m.name, o.helper, err)
 				return
 			}
-			// The node itself is not contacted: its new owner has already
-			// sent the hand-off (additions precede removals in a migration
-			// batch, so no channel is ever left empty mid-flight).
 			m.pool = append(m.pool[:o.local], m.pool[o.local+1:]...)
-			m.batch = m.batch[:len(m.pool)]
 			m.caps = m.caps[:len(m.pool)]
-			m.ok = m.ok[:len(m.pool)]
-			m.down = m.down[:len(m.pool)]
 			m.lateJ = m.lateJ[:len(m.pool)]
 			m.poolIDs = m.poolIDs[:len(m.pool)]
 			m.missed = m.missed[:len(m.pool)]
@@ -556,8 +501,9 @@ func (m *manager) applyOps(ops []op) {
 	}
 }
 
-// stepRound runs one protocol round for this channel: select, batch-attach,
-// collect capacities, realize rates and feedback, tick buffers, report.
+// stepRound runs one protocol round for this channel: select, exchange
+// one attach batch and one capacity reply with each pool helper, realize
+// rates and feedback, tick buffers.
 //
 //rths:hotpath
 func (m *manager) stepRound(round int) {
@@ -566,20 +512,12 @@ func (m *manager) stepRound(round int) {
 		m.err = m.stageErr(err)
 		return
 	}
-	// One slice-valued attach batch per pool helper — the whole round's
-	// peer->helper traffic in len(pool) messages.
-	for j := range m.batch {
-		m.batch[j] = m.batch[j][:0]
-	}
-	for i, a := range actions {
-		m.batch[a] = append(m.batch[a], int32(i))
-	}
-	for j, ph := range m.pool {
+	for j := range m.pool {
+		ph := &m.pool[j]
 		// The fault plan adjudicates first (it is deterministic), but the
 		// link draw is consumed unconditionally so a run with a plan sees
 		// the exact random streams of the same run without one.
 		down := m.faults != nil && m.faults.Unreachable(ph.id, m.id, round)
-		m.down[j] = down
 		failed, late := down, false
 		if m.link != nil {
 			delay, drop := m.link.Deliver(m.linkRng, round)
@@ -589,78 +527,49 @@ func (m *manager) stepRound(round int) {
 					failed = true
 				} else if delay > 0 {
 					m.out.LateMsgs++
-					if m.queueing {
-						// Queueing link: the batch reaches the helper a
-						// round late and is served then — degraded, not
-						// lost. The exchange still completes.
-						late = true
-					} else {
-						failed = true
-					}
+					// Queueing link: the batch reaches the helper a round
+					// late and is served then — degraded, not lost. The
+					// exchange still completes.
+					late = m.queueing
+					failed = !m.queueing
 				}
 			}
 		}
+		// An unreachable helper is served all the same, so its chain and
+		// its reply-link stream advance exactly as in a fault-free run;
+		// the reply's verdict is moot — the exchange already failed.
+		rep := ph.serve(round)
 		if down {
 			m.out.FaultMsgs++
+		} else if rep.dropped {
+			m.out.LostMsgs++
+			failed = true
+		} else if rep.late {
+			m.out.LateMsgs++
+			late = late || m.queueing
+			failed = failed || !m.queueing
 		}
-		m.ok[j] = !failed
+		m.poolIDs[j] = ph.id
+		m.missed[j] = failed
+		m.caps[j] = rep.capacity
 		m.lateJ[j] = late
-		ph.node.inbox <- helperMsg{kind: msgAttach, round: round, peers: m.batch[j], failed: failed,
-			proc: ph.proc, levels: ph.levels, reply: m.replies}
-	}
-	for range m.pool {
-		rep := <-m.replies
-		local := -1
-		for j, ph := range m.pool {
-			if ph.id == rep.helper {
-				local = j
-				break
-			}
-		}
-		if local < 0 || rep.round != round {
-			m.err = m.replyErr(rep.helper, rep.round, round)
-			return
-		}
-		// An unreachable helper's reply never arrives; its own link draw
-		// was still consumed by the node (stream alignment), but the
-		// verdict is moot — the exchange already failed.
-		if !m.down[local] && (rep.dropped || rep.late) {
-			if rep.dropped {
-				m.out.LostMsgs++
-				m.ok[local] = false
-			} else {
-				m.out.LateMsgs++
-				if m.queueing {
-					m.lateJ[local] = true
-				} else {
-					m.ok[local] = false
-				}
-			}
-		}
-		m.caps[local] = rep.capacity
-	}
-	// Round accounting: the channel's tick and report, plus one attach
-	// and one reply per pool helper (hand-offs were counted as applied).
-	m.out.Batches = len(m.pool)
-	m.out.Msgs += 2 + 2*len(m.pool)
-	if m.sizes != nil {
-		for j := range m.pool {
-			m.sizes.Observe(float64(loads[j]))
-		}
-	}
-	for j, ok := range m.ok {
-		m.poolIDs[j] = m.pool[j].id
-		m.missed[j] = !ok
-		if !ok {
+		if failed {
 			// Failed exchange: the helper contributes nothing observable
 			// this round and its peers realize rate zero.
 			m.caps[j] = 0
 			m.lateJ[j] = false
 			m.out.Unserved += loads[j]
-		} else if m.lateJ[j] && loads[j] > 0 {
+		} else if late && loads[j] > 0 {
 			m.out.LateServed++
 		}
+		if m.sizes != nil {
+			m.sizes.Observe(float64(loads[j]))
+		}
 	}
+	// Round accounting: the channel's tick and report, plus one attach
+	// and one reply per pool helper (hand-offs were counted as applied).
+	m.out.Batches = len(m.pool)
+	m.out.Msgs += 2 + 2*len(m.pool)
 	res, err := m.sys.FinishStage(m.caps)
 	if err != nil {
 		m.err = m.stageErr(err)
@@ -702,15 +611,10 @@ func (m *manager) stepRound(round int) {
 	m.out.Missed = m.missed
 }
 
-// stageErr, replyErr and bufferErr build stepRound's failure messages off
-// the hot path so the round body stays free of fmt calls.
+// stageErr and bufferErr build stepRound's failure messages off the hot
+// path so the round body stays free of fmt calls.
 func (m *manager) stageErr(err error) error {
 	return fmt.Errorf("distsim: channel %q: %w", m.name, err)
-}
-
-func (m *manager) replyErr(helper, got, want int) error {
-	return fmt.Errorf("distsim: channel %q got reply from helper %d round %d during round %d",
-		m.name, helper, got, want)
 }
 
 func (m *manager) bufferErr(err error) error {
@@ -723,10 +627,21 @@ func (m *manager) bufferErr(err error) error {
 type Runtime struct {
 	managers []*manager
 	nodes    []*helperNode
-	reports  chan reportMsg
 	stats    RoundStats
 	pending  [][]op
 	round    int
+	// workers is the number of channel-stepping workers (Config.Workers,
+	// at least 1), and workerFn the bound stepWorker, hoisted so an
+	// inline round allocates nothing.
+	workers  int
+	workerFn func(k int)
+	// holders counts the pools each helper node sits in once the queued
+	// ops apply, and queued lists the helpers those ops touch. A node in
+	// two pools would be served twice a round, so StepRound refuses it
+	// (err, sticky).
+	holders []int
+	queued  []int
+	err     error
 	// batchSizes is the merge target for the managers' local size
 	// histograms (Config.BatchSizes; nil when disabled).
 	batchSizes *telemetry.Histogram
@@ -746,14 +661,11 @@ type Runtime struct {
 	profile     RoundProfile
 	cumIdleNs   int64
 	cumTotalNs  int64
-	started     bool
 	closed      bool
-	wg          sync.WaitGroup
 }
 
 // New validates the config and builds the deployment. Construction is
-// eager (every channel's system is built, so config errors surface here);
-// node goroutines start on the first StepRound.
+// eager: every channel's system is built, so config errors surface here.
 func New(cfg Config) (*Runtime, error) {
 	if len(cfg.Channels) == 0 {
 		return nil, errors.New("distsim: no channels")
@@ -763,6 +675,9 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if len(cfg.Assign) != len(cfg.Helpers) {
 		return nil, fmt.Errorf("distsim: %d assignments for %d helpers", len(cfg.Assign), len(cfg.Helpers))
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("distsim: Workers=%d", cfg.Workers)
 	}
 	poolSize := make([]int, len(cfg.Channels))
 	for h, ci := range cfg.Assign {
@@ -786,13 +701,15 @@ func New(cfg Config) (*Runtime, error) {
 		linkMaster = xrand.New(cfg.LinkSeed)
 	}
 	rt := &Runtime{
-		reports:    make(chan reportMsg, len(cfg.Channels)),
 		nodes:      make([]*helperNode, len(cfg.Helpers)),
 		pending:    make([][]op, len(cfg.Channels)),
+		workers:    max(cfg.Workers, 1),
+		holders:    make([]int, len(cfg.Helpers)),
 		batchSizes: cfg.BatchSizes,
 		spans:      cfg.Spans,
 		profiled:   cfg.Spans != nil || cfg.SpanClock != nil,
 	}
+	rt.workerFn = rt.stepWorker
 	spanClock := cfg.SpanClock
 	if spanClock == nil {
 		spanClock = telemetry.MonotonicNow
@@ -839,16 +756,10 @@ func New(cfg Config) (*Runtime, error) {
 			factory: cfg.Factory,
 			demand:  cc.DemandPerPeer,
 			startup: cc.StartupStages,
-			tick:    make(chan tickMsg, 1),
-			replies: make(chan replyMsg, len(cfg.Helpers)),
-			reports: rt.reports,
 			out:     &rt.stats.Channels[ci],
 			link:    cfg.Link,
 			faults:  cfg.Faults,
-			batch:   make([][]int32, len(pool)),
 			caps:    make([]float64, len(pool)),
-			ok:      make([]bool, len(pool)),
-			down:    make([]bool, len(pool)),
 			lateJ:   make([]bool, len(pool)),
 			poolIDs: make([]int, len(pool)),
 			missed:  make([]bool, len(pool)),
@@ -875,12 +786,9 @@ func New(cfg Config) (*Runtime, error) {
 			m.deferred = make([]float64, cc.InitialPeers)
 		}
 		for local, h := range ids {
-			node := &helperNode{
-				id:    h,
-				inbox: make(chan helperMsg, 4),
-				link:  cfg.Link,
-			}
+			node := &helperNode{link: cfg.Link}
 			rt.nodes[h] = node
+			rt.holders[h] = 1
 			m.pool = append(m.pool, poolHelper{
 				id:     h,
 				node:   node,
@@ -907,9 +815,9 @@ func (rt *Runtime) Round() int { return rt.round }
 // BarrierTax returns the cumulative fraction of fleet time spent idle
 // at the round barrier since the runtime started: Σ idle / Σ total
 // across profiled rounds. Zero when profiling is disabled or no round
-// has run. This is the number the ROADMAP's asynchronous-rounds item
-// needs: it bounds the throughput gain un-barriering the coordinator
-// could buy.
+// has run. It measures how unequal the channels' round spans are — the
+// imbalance a channel-parallel fan-out waits on — and so bounds the
+// throughput gain un-barriering the coordinator could buy.
 func (rt *Runtime) BarrierTax() float64 {
 	if rt.cumTotalNs == 0 {
 		return 0
@@ -941,28 +849,30 @@ func (rt *Runtime) RemovePeer(ci, local int) error {
 
 // AddHelper queues a helper migration into channel ci: the gaining manager
 // builds the helper's fresh bandwidth process from its own stream and
-// hands ownership of helper node `id` over by control message. Queue all
-// of a migration's additions before its removals so no channel is ever
-// left empty (the order internal/cluster's migrate pass already uses).
+// takes helper node `id` into its pool. Queue all of a migration's
+// additions before its removals so no channel is ever left empty (the
+// order internal/cluster's migrate pass already uses), and queue the
+// removal from the helper's current pool in the same round: a node may
+// sit in at most one pool once a round's ops apply.
 func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
-	if err := rt.checkChannel(ci); err != nil {
+	if err := rt.checkHelper(ci, id); err != nil {
 		return err
 	}
-	if id < 0 || id >= len(rt.nodes) {
-		return fmt.Errorf("distsim: AddHelper id %d of %d", id, len(rt.nodes))
-	}
 	rt.pending[ci] = append(rt.pending[ci], op{kind: opAddHelper, helper: id, spec: spec, node: rt.nodes[id]})
+	rt.holders[id]++
+	rt.queued = append(rt.queued, id)
 	return nil
 }
 
 // RemoveHelper queues a helper migration out of channel ci (local pool
-// index, global id for error reporting). The losing manager forgets the
-// node; the gaining manager's AddHelper hand-off re-routes it.
+// index, global id to corroborate it). The losing manager drops the
+// node from its pool.
 func (rt *Runtime) RemoveHelper(ci, local, id int) error {
-	if err := rt.checkChannel(ci); err != nil {
+	if err := rt.checkHelper(ci, id); err != nil {
 		return err
 	}
 	rt.pending[ci] = append(rt.pending[ci], op{kind: opRemoveHelper, local: local, helper: id})
+	rt.holders[id]--
 	return nil
 }
 
@@ -976,46 +886,50 @@ func (rt *Runtime) checkChannel(ci int) error {
 	return nil
 }
 
+func (rt *Runtime) checkHelper(ci, id int) error {
+	if err := rt.checkChannel(ci); err != nil {
+		return err
+	}
+	if id < 0 || id >= len(rt.nodes) {
+		return fmt.Errorf("distsim: helper id %d of %d", id, len(rt.nodes))
+	}
+	return nil
+}
+
 // StepRound runs one protocol round across every node and returns the
 // per-channel stats. The returned struct and its slices are reused — read
-// them before the next StepRound (or copy). The first error any node hit
-// is returned; the runtime stays protocol-alive after an error (so Close
-// always works), but failed channels stop simulating.
+// them before the next StepRound (or copy). The managers run through
+// fanout.Run, channel ci on worker ci mod Workers: inline in channel
+// order when Workers <= 1, when there are fewer channels than workers, or
+// at GOMAXPROCS=1, otherwise one goroutine per worker. Managers share no
+// state within a round, so both modes give identical results. A failed
+// channel stops simulating and reports zeroed stats from then on; every
+// StepRound returns the error of the lowest-indexed failed channel.
 func (rt *Runtime) StepRound() (*RoundStats, error) {
 	if rt.closed {
 		return nil, errors.New("distsim: runtime closed")
 	}
+	for _, id := range rt.queued {
+		if rt.holders[id] > 1 && rt.err == nil {
+			rt.err = fmt.Errorf("distsim: helper %d queued into %d pools", id, rt.holders[id])
+		}
+	}
+	rt.queued = rt.queued[:0]
+	if rt.err != nil {
+		return nil, rt.err
+	}
 	t0 := rt.clock()
-	if !rt.started {
-		rt.started = true
-		for _, m := range rt.managers {
-			rt.wg.Add(1)
-			go func(m *manager) {
-				defer rt.wg.Done()
-				m.run()
-			}(m)
-		}
-		for _, n := range rt.nodes {
-			rt.wg.Add(1)
-			go func(n *helperNode) {
-				defer rt.wg.Done()
-				n.run()
-			}(n)
-		}
-	}
-	for ci, m := range rt.managers {
-		m.tick <- tickMsg{round: rt.round, ops: rt.pending[ci]}
-	}
+	fanout.Run(rt.workers, len(rt.managers) >= rt.workers, rt.workerFn)
 	var firstErr error
-	for range rt.managers {
-		rep := <-rt.reports
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+	for _, m := range rt.managers {
+		if m.err != nil {
+			firstErr = m.err
+			break
 		}
 	}
-	// Managers are quiescent again: reclaim the op queues for reuse,
-	// aggregate the round accounting, and merge the manager-local size
-	// histograms in channel order (deterministic integer counts).
+	// Reclaim the op queues for reuse, aggregate the round accounting,
+	// and merge the manager-local size histograms in channel order
+	// (deterministic integer counts).
 	for ci := range rt.pending {
 		rt.pending[ci] = rt.pending[ci][:0]
 	}
@@ -1053,24 +967,18 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 	return &rt.stats, firstErr
 }
 
-// Close shuts the deployment down: every manager and every helper node
-// receives the stop sentinel directly from the coordinator — node
-// shutdown never depends on ownership bookkeeping, so a migration that
-// died half-applied cannot orphan a node — and every goroutine is joined.
-// Close is idempotent.
+// stepWorker runs worker k's managers for the current round: channel
+// ci = k, k+workers, ….
+func (rt *Runtime) stepWorker(k int) {
+	for ci := k; ci < len(rt.managers); ci += rt.workers {
+		rt.managers[ci].round(rt.round, rt.pending[ci])
+	}
+}
+
+// Close releases the deployment: later StepRound and op calls return an
+// error. The nodes hold no goroutines or OS resources, so there is
+// nothing to join. Close is idempotent.
 func (rt *Runtime) Close() error {
-	if rt.closed {
-		return nil
-	}
 	rt.closed = true
-	if rt.started {
-		for _, m := range rt.managers {
-			m.tick <- tickMsg{stop: true}
-		}
-		for _, n := range rt.nodes {
-			n.inbox <- helperMsg{kind: msgStop}
-		}
-		rt.wg.Wait()
-	}
 	return nil
 }

@@ -2,8 +2,10 @@ package distsim
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"rths/internal/core"
 	"rths/internal/xrand"
@@ -124,8 +126,8 @@ func TestRoundInvariants(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns pins that the concurrency never leaks into
-// results: two identical deployments produce identical welfare streams.
+// TestDeterministicAcrossRuns pins that two identical deployments produce
+// identical welfare streams.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	collect := func() []float64 {
 		rt, err := New(fourChannelConfig(77))
@@ -150,7 +152,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	a, b := collect(), collect()
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("round %d: %g vs %g — concurrency broke determinism", i, a[i], b[i])
+			t.Fatalf("round %d: %g vs %g ", i, a[i], b[i])
 		}
 	}
 }
@@ -237,8 +239,7 @@ func TestHelperMigrationHandsOff(t *testing.T) {
 
 // TestRemoveLastHelperSurfaces pins the failure mode: migrating a
 // channel's only helper away without a replacement must surface an error
-// (core refuses to leave a system helperless), not corrupt the protocol —
-// and Close must still join every node.
+// (core refuses to leave a system helperless), not corrupt the protocol.
 func TestRemoveLastHelperSurfaces(t *testing.T) {
 	cfg := Config{
 		Channels: []ChannelConfig{
@@ -320,7 +321,7 @@ func TestLossyLinksDegrade(t *testing.T) {
 }
 
 // TestLossyDeterministic pins that lossy runs replay exactly for a fixed
-// LinkSeed despite every link drawing from its own stream concurrently.
+// LinkSeed, every link drawing from its own stream.
 func TestLossyDeterministic(t *testing.T) {
 	collect := func() []float64 {
 		cfg := fourChannelConfig(21)
@@ -385,8 +386,8 @@ func TestNewLossyValidation(t *testing.T) {
 	}
 }
 
-// TestCloseBeforeStart covers the construct-then-abandon path: no
-// goroutines were started, Close must still be clean and idempotent.
+// TestCloseBeforeStart covers the construct-then-abandon path: Close
+// before any round is clean and idempotent, and closes the op surface.
 func TestCloseBeforeStart(t *testing.T) {
 	rt, err := New(fourChannelConfig(2))
 	if err != nil {
@@ -407,8 +408,8 @@ func TestCloseBeforeStart(t *testing.T) {
 }
 
 // TestErrorKeepsProtocolAlive pins the failure contract: after a channel
-// errors, StepRound keeps returning the error (without deadlocking) and
-// Close still joins everything.
+// errors, StepRound keeps returning the error while the healthy channels
+// keep simulating.
 func TestErrorKeepsProtocolAlive(t *testing.T) {
 	rt, err := New(fourChannelConfig(11))
 	if err != nil {
@@ -440,11 +441,11 @@ func TestErrorKeepsProtocolAlive(t *testing.T) {
 	}
 }
 
-// TestCloseAfterFailedMigration pins the orphaned-node fix: when a
-// migration half-applies — the losing manager drops the helper but the
-// gaining manager's AddHelper fails, so the ownership hand-off never
-// happens — the node belongs to no manager's pool, and Close must still
-// stop it (the coordinator stops nodes directly) rather than deadlock.
+// TestCloseAfterFailedMigration pins a migration that half-applies: the
+// losing manager drops the helper but the gaining manager's AddHelper
+// fails, so the node belongs to no pool. The failure must surface and
+// stay sticky, no live channel may serve the orphaned node, and Close
+// must stay clean and idempotent, closing the round surface.
 func TestCloseAfterFailedMigration(t *testing.T) {
 	cfg := fourChannelConfig(8)
 	cfg.UtilityScale = 900 // the default helpers' max level
@@ -465,18 +466,120 @@ func TestCloseAfterFailedMigration(t *testing.T) {
 	if err := rt.RemoveHelper(0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.StepRound(); err == nil {
-		t.Fatal("failed migration did not surface")
+	for round := 0; round < 3; round++ {
+		stats, err := rt.StepRound()
+		if err == nil || !strings.Contains(err.Error(), `channel "b" gain helper 0`) {
+			t.Fatalf("round %d after the failed migration returned %v, want channel b's error", round, err)
+		}
+		for ci := range stats.Channels {
+			if slices.Contains(stats.Channels[ci].PoolIDs, 0) {
+				t.Fatalf("round %d: channel %d still serves orphaned helper 0", round, ci)
+			}
+		}
 	}
-	done := make(chan struct{})
-	go func() {
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.StepRound(); err == nil {
+		t.Fatal("StepRound on closed runtime accepted")
+	}
+}
+
+// TestFirstErrorIsLowestChannel pins which error StepRound returns when
+// several channels fail in one round: the lowest channel index's, at
+// every Workers value and whether or not the workers run in parallel.
+func TestFirstErrorIsLowestChannel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 2} {
+			cfg := fourChannelConfig(11)
+			cfg.Workers = workers
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Out-of-range departures poison channels 3 and 1 in one round.
+			if err := rt.RemovePeer(3, 99); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.RemovePeer(1, 99); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				_, err := rt.StepRound()
+				if err == nil || !strings.Contains(err.Error(), `channel "b" leave`) {
+					t.Fatalf("GOMAXPROCS=%d workers=%d round %d: error %v, want channel b's", procs, workers, round, err)
+				}
+			}
+			rt.Close()
+		}
+	}
+}
+
+// TestHelperInTwoPoolsRefused pins the ownership guard: a helper added to
+// a second channel without leaving its first would be served twice a
+// round, so StepRound refuses the round, stickily, before any manager runs.
+func TestHelperInTwoPoolsRefused(t *testing.T) {
+	cfg := fourChannelConfig(6)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.AddHelper(0, 3, cfg.Helpers[3]); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if _, err := rt.StepRound(); err == nil || !strings.Contains(err.Error(), "helper 3 queued into 2 pools") {
+			t.Fatalf("round %d: error %v, want the two-pool refusal", round, err)
+		}
+	}
+	if rt.Round() != 0 {
+		t.Fatalf("refused rounds ran: Round() = %d", rt.Round())
+	}
+	if err := rt.RemoveHelper(0, 0, 99); err == nil {
+		t.Fatal("RemoveHelper with an out-of-range id accepted")
+	}
+}
+
+// TestSteadyRoundAllocatesNothing pins the zero-alloc round: with lossy
+// links and a fault plan but no queued ops, a steady-state StepRound on
+// inline managers allocates nothing.
+func TestSteadyRoundAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		cfg := fourChannelConfig(19)
+		cfg.Workers = workers
+		cfg.Link = Lossy{DropProb: 0.05, DelayProb: 0.1, MaxDelay: 2}
+		cfg.LinkSeed = 3
+		cfg.Faults = &FaultPlan{
+			HelperDomains: []int{0, 1, 0, 1, 0, 1, 0, 1},
+			Crashes:       []HelperCrash{{Helper: 2, From: 5, Until: 1 << 30}},
+			Partitions:    []Partition{{Domain: 1, From: 10, Until: 1 << 30}},
+			Queueing:      true,
+		}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 20; round++ {
+			if _, err := rt.StepRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := rt.StepRound(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("workers=%d: %g allocs per steady-state round, want 0", workers, allocs)
+		}
 		rt.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close deadlocked on the orphaned helper node")
 	}
 }
 

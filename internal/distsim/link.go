@@ -18,7 +18,7 @@ import (
 //
 // Implementations draw from the *xrand.Rand they are handed: every node
 // gets a private stream split from Config.LinkSeed, so lossy runs are
-// deterministic for a fixed (Config, LinkSeed) despite the concurrency.
+// deterministic for a fixed (Config, LinkSeed) and every Workers value.
 type LinkModel interface {
 	Deliver(r *xrand.Rand, round int) (delayRounds int, drop bool)
 }

@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"rths/internal/telemetry"
@@ -43,39 +42,50 @@ func TestProfileRoundTieBreaksLowAndZeroSafe(t *testing.T) {
 
 // Spans flow end to end: managers stamp their windows with the injected
 // clock, the coordinator records one span per channel per round into the
-// ring, and the profile + cumulative barrier tax derive from them.
+// ring, and the profile and the cumulative barrier tax derive from them.
+// The clock reads k² on its k-th call (calls made in order: the round's
+// start, each channel's start and end, the round's end), so channel ci's
+// span in round r is (10r+3+2ci)² − (10r+2+2ci)² = 20r+5+4ci ns: every
+// round's straggler is channel 3, idle is 12+8+4+0 = 24 ns and total is
+// 4·(20r+17) ns.
 func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 	cfg := fourChannelConfig(11)
 	rec := telemetry.NewRecorder(64)
-	var tick atomic.Int64
+	var calls int64
 	cfg.Spans = rec
-	cfg.SpanClock = func() int64 { return tick.Add(1) }
+	cfg.SpanClock = func() int64 { calls++; return calls * calls }
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	const rounds = 5
+	var idle, total int64
 	for r := 0; r < rounds; r++ {
 		stats, err := rt.StepRound()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Profile == nil {
-			t.Fatal("profiled run returned nil Profile")
-		}
-		if s := stats.Profile.Straggler; s < 0 || s >= len(stats.Channels) {
-			t.Fatalf("straggler = %d of %d channels", s, len(stats.Channels))
-		}
-		if stats.Profile.TotalNs <= 0 {
-			t.Fatal("profile total not positive")
-		}
 		for ci := range stats.Channels {
 			cr := &stats.Channels[ci]
-			if cr.EndNs <= cr.StartNs {
-				t.Fatalf("round %d channel %d span [%d,%d] not increasing", r, ci, cr.StartNs, cr.EndNs)
+			if got, want := cr.EndNs-cr.StartNs, int64(20*r+5+4*ci); got != want {
+				t.Fatalf("round %d channel %d span %d, want %d", r, ci, got, want)
 			}
 		}
+		want := RoundProfile{
+			Round:           r,
+			Straggler:       3,
+			StragglerWallNs: int64(20*r + 17),
+			MedianWallNs:    int64(20*r + 13),
+			LeadRatio:       4 / float64(20*r+17),
+			IdleNs:          24,
+			TotalNs:         int64(4 * (20*r + 17)),
+		}
+		if stats.Profile == nil || *stats.Profile != want {
+			t.Fatalf("round %d profile %+v, want %+v", r, stats.Profile, want)
+		}
+		idle += want.IdleNs
+		total += want.TotalNs
 	}
 	if got := rec.Total(); got != rounds*4 {
 		t.Fatalf("recorded %d spans, want %d", got, rounds*4)
@@ -86,9 +96,12 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 			t.Fatalf("tail span %d = %+v, want round %d channel %d", i, s, rounds-1, i)
 		}
 	}
-	tax := rt.BarrierTax()
-	if tax <= 0 || tax >= 1 {
-		t.Fatalf("barrier tax = %g, want in (0,1)", tax)
+	// Σ idle = 5·24 = 120 ns over Σ total = 80·(0+1+2+3+4) + 5·68 = 1140 ns.
+	if idle != 120 || total != 1140 {
+		t.Fatalf("hand count off: idle %d total %d", idle, total)
+	}
+	if got, want := rt.BarrierTax(), 120.0/1140.0; got != want {
+		t.Fatalf("barrier tax = %g, want 120/1140 = %g", got, want)
 	}
 }
 

@@ -60,8 +60,7 @@ type ClusterScenario struct {
 	ViewRefresh int
 	Allocator   cluster.AllocatorKind
 	// Backend selects the execution backend (shared-memory worker pool or
-	// the distsim message-passing runtime). With cluster.BackendDistsim,
-	// Close the built cluster to join its node goroutines.
+	// the distsim message-passing runtime).
 	Backend cluster.BackendKind
 	Workers int
 	Seed    uint64

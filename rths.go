@@ -90,8 +90,8 @@ type (
 // Distributed-runtime, workload and support types.
 type (
 	// DistsimConfig configures the batched multi-channel message-passing
-	// runtime (channel-manager nodes, per-helper inboxes, migration as
-	// control messages).
+	// runtime (channel-manager and helper nodes under one coordinator,
+	// migration as ownership hand-offs).
 	DistsimConfig = distsim.Config
 	// DistsimChannelConfig describes one distsim channel deployment.
 	DistsimChannelConfig = distsim.ChannelConfig
