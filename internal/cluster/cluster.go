@@ -12,7 +12,7 @@
 //     with private RNG streams, so the director hands each stage to a
 //     pluggable execution backend: the shared-memory backend steps channels
 //     as core.Systems, the distsim backend as message-passing nodes on
-//     internal/distsim; both run channel ci on worker ci mod Workers
+//     internal/distsim; both spread channels over Workers workers
 //     through the same fan-out. Per-epoch aggregates are reduced in
 //     channel-index order either way, so results are bit-identical for
 //     every Workers value AND for both backends at zero link latency/drop
@@ -167,11 +167,12 @@ type Config struct {
 	// strict improvement triggers migration; ties never migrate, so a
 	// steady workload reaches a fixed assignment and stops churning.
 	Hysteresis float64
-	// Workers sizes the channel-stepping worker pool of either backend:
-	// channel ci steps on worker ci mod Workers (on BackendDistsim, its
-	// manager node does). Results are bit-identical for every Workers
-	// value: parallelism is across channels, which never share an RNG
-	// stream, and reductions run in channel order. 0 or 1 steps serially.
+	// Workers sizes the channel-stepping worker pool of either backend
+	// (on BackendDistsim the workers run the channels' manager nodes; see
+	// distsim.Runtime.StepRound). Results are bit-identical for every
+	// Workers value: parallelism is across channels, which never share an
+	// RNG stream, and reductions run in channel order. 0 or 1 steps
+	// serially.
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64

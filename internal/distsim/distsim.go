@@ -23,11 +23,11 @@
 //     process that manager's channel drew for it, and replies with its
 //     realized capacity.
 //   - The coordinator (the caller's goroutine, driving StepRound) runs
-//     the managers through fanout.Run — channel ci on worker ci mod
-//     Workers — and merges their reports in channel order. Helper
-//     re-allocation is an ownership hand-off: the gaining manager builds
-//     the helper's fresh bandwidth process from its own stream and takes
-//     the node into its pool; the losing manager drops it from its pool.
+//     the managers through fanout.Run on Workers workers and merges their
+//     reports in channel order. Helper re-allocation is an ownership
+//     hand-off: the gaining manager builds the helper's fresh bandwidth
+//     process from its own stream and takes the node into its pool; the
+//     losing manager drops it from its pool.
 //
 // # Round protocol
 //
@@ -76,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"rths/internal/core"
 	"rths/internal/fanout"
@@ -137,10 +138,9 @@ type Config struct {
 	// consumed identically with and without a plan, so adding faults
 	// never perturbs the surviving traffic's randomness.
 	Faults *FaultPlan
-	// Workers sizes the channel-stepping worker pool: manager ci runs on
-	// worker ci mod Workers (see StepRound). 0 or 1 runs every manager
-	// inline in channel order. Results are bit-identical for every
-	// Workers value.
+	// Workers sizes the channel-stepping worker pool (see StepRound).
+	// 0 or 1 runs every manager inline in channel order. Results are
+	// bit-identical for every Workers value.
 	Workers int
 	// BatchSizes is an optional size histogram for attach-batch sizes
 	// (peers per batch). Each manager fills a private same-bucket twin
@@ -631,10 +631,12 @@ type Runtime struct {
 	pending  [][]op
 	round    int
 	// workers is the number of channel-stepping workers (Config.Workers,
-	// at least 1), and workerFn the bound stepWorker, hoisted so an
-	// inline round allocates nothing.
+	// at least 1), workerFn the bound stepWorker, hoisted so an inline
+	// round allocates nothing, and next the workers' shared channel
+	// counter, reset each round.
 	workers  int
 	workerFn func(k int)
+	next     atomic.Int64
 	// holders counts the pools each helper node sits in once the queued
 	// ops apply, and queued lists the helpers those ops touch. A node in
 	// two pools would be served twice a round, so StepRound refuses it
@@ -899,9 +901,9 @@ func (rt *Runtime) checkHelper(ci, id int) error {
 // StepRound runs one protocol round across every node and returns the
 // per-channel stats. The returned struct and its slices are reused — read
 // them before the next StepRound (or copy). The managers run through
-// fanout.Run, channel ci on worker ci mod Workers: inline in channel
-// order when Workers <= 1, when there are fewer channels than workers, or
-// at GOMAXPROCS=1, otherwise one goroutine per worker. Managers share no
+// fanout.Run on Workers workers: inline in channel order when
+// Workers <= 1, when there are fewer channels than workers, or at
+// GOMAXPROCS=1, otherwise one goroutine per worker. Managers share no
 // state within a round, so both modes give identical results. A failed
 // channel stops simulating and reports zeroed stats from then on; every
 // StepRound returns the error of the lowest-indexed failed channel.
@@ -919,6 +921,7 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 		return nil, rt.err
 	}
 	t0 := rt.clock()
+	rt.next.Store(0)
 	fanout.Run(rt.workers, len(rt.managers) >= rt.workers, rt.workerFn)
 	var firstErr error
 	for _, m := range rt.managers {
@@ -967,10 +970,19 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 	return &rt.stats, firstErr
 }
 
-// stepWorker runs worker k's managers for the current round: channel
-// ci = k, k+workers, ….
-func (rt *Runtime) stepWorker(k int) {
-	for ci := k; ci < len(rt.managers); ci += rt.workers {
+// stepWorker runs managers for the current round until none is left,
+// taking the next channel index from a shared counter. Channels are
+// taken in index order, and audiences are usually sorted largest first
+// (cluster.ZipfChannels), so the heaviest channels start first and a
+// skewed audience still spreads evenly over the workers (a fixed
+// ci mod Workers partition puts 32% of the scale preset's Zipf audience
+// on one of its four workers).
+func (rt *Runtime) stepWorker(int) {
+	for {
+		ci := int(rt.next.Add(1)) - 1
+		if ci >= len(rt.managers) {
+			return
+		}
 		rt.managers[ci].round(rt.round, rt.pending[ci])
 	}
 }
