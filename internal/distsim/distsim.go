@@ -325,9 +325,8 @@ type op struct {
 }
 
 // helperNode is one pool helper's reply endpoint. It owns the helper's
-// reply-link stream, which survives migrations.
+// reply-link stream, which survives migrations (nil with perfect links).
 type helperNode struct {
-	link    LinkModel
 	linkRng *xrand.Rand
 }
 
@@ -347,11 +346,11 @@ type poolHelper struct {
 // verdict from the node's own stream.
 //
 //rths:hotpath
-func (ph *poolHelper) serve(round int) replyMsg {
+func (ph *poolHelper) serve(round int, link LinkModel) replyMsg {
 	ph.proc.Step()
 	rep := replyMsg{capacity: ph.levels[ph.proc.State()]}
-	if n := ph.node; n.link != nil {
-		delay, drop := n.link.Deliver(n.linkRng, round)
+	if link != nil {
+		delay, drop := link.Deliver(ph.node.linkRng, round)
 		rep.dropped = drop
 		rep.late = !drop && delay > 0
 	}
@@ -538,7 +537,7 @@ func (m *manager) stepRound(round int) {
 		// An unreachable helper is served all the same, so its chain and
 		// its reply-link stream advance exactly as in a fault-free run;
 		// the reply's verdict is moot — the exchange already failed.
-		rep := ph.serve(round)
+		rep := ph.serve(round, m.link)
 		if down {
 			m.out.FaultMsgs++
 		} else if rep.dropped {
@@ -788,7 +787,7 @@ func New(cfg Config) (*Runtime, error) {
 			m.deferred = make([]float64, cc.InitialPeers)
 		}
 		for local, h := range ids {
-			node := &helperNode{link: cfg.Link}
+			node := &helperNode{}
 			rt.nodes[h] = node
 			rt.holders[h] = 1
 			m.pool = append(m.pool, poolHelper{
