@@ -406,7 +406,7 @@ func (m *manager) round(round int, ops []op) {
 	if m.clock != nil {
 		m.out.StartNs = m.clock()
 	}
-	if m.err == nil && len(ops) > 0 {
+	if m.err == nil {
 		m.applyOps(ops)
 	}
 	if m.err == nil {
@@ -548,19 +548,16 @@ func (m *manager) stepRound(round int) {
 			late = late || m.queueing
 			failed = failed || !m.queueing
 		}
-		m.poolIDs[j] = ph.id
-		m.missed[j] = failed
-		m.caps[j] = rep.capacity
-		m.lateJ[j] = late
 		if failed {
 			// Failed exchange: the helper contributes nothing observable
 			// this round and its peers realize rate zero.
-			m.caps[j] = 0
-			m.lateJ[j] = false
+			rep.capacity, late = 0, false
 			m.out.Unserved += loads[j]
 		} else if late && loads[j] > 0 {
 			m.out.LateServed++
 		}
+		m.poolIDs[j], m.missed[j] = ph.id, failed
+		m.caps[j], m.lateJ[j] = rep.capacity, late
 		if m.sizes != nil {
 			m.sizes.Observe(float64(loads[j]))
 		}
