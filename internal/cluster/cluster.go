@@ -34,7 +34,7 @@
 //     RemoveHelper on the losing channel, AddHelper on the gaining one,
 //     which drives AddAction/RemoveAction churn through every affected
 //     peer's learner. On the distsim backend the migration executes as
-//     control messages between channel-manager nodes and the helper nodes.
+//     an ownership hand-off of the helper node between channel managers.
 //
 // All channels share one utility scale (the global maximum helper level,
 // via core.Config.UtilityScale) so a migrating helper never exceeds the
