@@ -60,7 +60,6 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 	}
 	defer rt.Close()
 	const rounds = 5
-	var idle, total int64
 	for r := 0; r < rounds; r++ {
 		stats, err := rt.StepRound()
 		if err != nil {
@@ -84,8 +83,6 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 		if stats.Profile == nil || *stats.Profile != want {
 			t.Fatalf("round %d profile %+v, want %+v", r, stats.Profile, want)
 		}
-		idle += want.IdleNs
-		total += want.TotalNs
 	}
 	if got := rec.Total(); got != rounds*4 {
 		t.Fatalf("recorded %d spans, want %d", got, rounds*4)
@@ -97,9 +94,6 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 		}
 	}
 	// Σ idle = 5·24 = 120 ns over Σ total = 80·(0+1+2+3+4) + 5·68 = 1140 ns.
-	if idle != 120 || total != 1140 {
-		t.Fatalf("hand count off: idle %d total %d", idle, total)
-	}
 	if got, want := rt.BarrierTax(), 120.0/1140.0; got != want {
 		t.Fatalf("barrier tax = %g, want 120/1140 = %g", got, want)
 	}
